@@ -1,32 +1,72 @@
-//! Epoch-versioned control-plane op log (the "RCU" half of engine v2).
+//! Control-plane ops and the rules for handing them to pipe workers.
 //!
-//! Engine v1 broadcast every control-plane call (VIP registration,
-//! 3-step PCC updates, health events, idle-expiry ticks) to all pipes
-//! inline under the caller, which serialized the control plane against
-//! the data plane. Engine v2 instead *publishes* each call as an
-//! immutable [`ControlOp`] appended to a [`ControlLog`]; the log's
-//! length is the **epoch**. Every batch handed to a pipe worker is
-//! stamped with the epoch observed at steer time, and a worker adopts
-//! all ops up to exactly that stamp *before* processing the batch — a
-//! batch boundary is the only place pipe state changes, so the
-//! interleaving of ops and batches is identical in every pipe and for
-//! every pipe count, which is what keeps decisions bit-identical and
-//! PCC intact under concurrent updates.
+//! Every control-plane call (VIP registration, 3-step PCC updates,
+//! health events, meters, `advance`, idle expiry, connection close) is
+//! published as an immutable [`ControlOp`] appended to the engine's
+//! [`sr_exec::EpochLog`]; the log's length is the **epoch**. Every job
+//! handed to a pipe worker is stamped with the epoch observed when the
+//! facade created it, and the worker *adopts* — applies, in publication
+//! order — the ops up to that stamp before acting on the job. Job
+//! boundaries are the only place pipe state changes, so the interleaving
+//! of ops and batches is identical in every pipe, for every pipe count,
+//! and on the inline backend (which applies each op at publish time).
+//! That is what keeps decisions bit-identical and PCC intact under
+//! concurrent updates.
 //!
-//! RCU flavour: published entries are immutable and shared by `Arc`;
-//! readers copy the `Arc` references they need under a short lock and
-//! apply them outside it, so a worker never holds the log lock while
-//! touching its pipe. The facade truncates the log once every pipe has
-//! confirmed adoption (the "grace period"), keeping memory bounded.
+//! # Synchronous and posted ops
+//!
+//! | op | kind | why |
+//! |---|---|---|
+//! | `AddVip`, `RemoveVip`, `RequestUpdate`, `Health` | synchronous | can fail; the caller gets the error |
+//! | `ExpireIdle` | synchronous | returns the expired count |
+//! | `CloseConn`, `Advance`, `AttachMeter`, `DetachMeter` | posted | infallible, return nothing |
+//!
+//! [`ControlOp::is_posted`] is the only place this split is made. A
+//! synchronous op round-trips: the facade publishes it, sends every
+//! worker a `Job::Control`, and waits for one reply per pipe (summed
+//! expiry counts, first error). A posted op is published and the call
+//! returns at once; workers adopt it at their next job boundary, so the
+//! data plane never waits for it. [`apply_op`] returns `(0, Ok(()))` for
+//! every posted op, so no outcome can be stranded in a worker and
+//! surface on some later synchronous call.
+//!
+//! # Adoption rule
+//!
+//! `Job::Batch`, `Job::Control` and `Job::Query` adopt exactly up to
+//! their stamp. After a post the facade pushes one reply-less
+//! `Job::Adopt` to each worker the op concerns, but only when that
+//! worker's job ring is empty: an idle worker then adopts while the
+//! caller parses and rewrites, instead of at the head of the next batch.
+//! A worker that pops `Adopt` reads the log's current epoch `E` *first*
+//! and then checks its job ring. If the ring is empty it adopts up to
+//! `E`, coalescing a burst of posts into one adoption; otherwise only up
+//! to the job's own stamp. Every atomic involved is `SeqCst`, and the
+//! facade pushes each job before it publishes any later op, so every
+//! job stamped below `E` was pushed before `E` was published. A worker
+//! whose epoch load saw `E` and whose later ring check found the ring
+//! empty has therefore popped — and, as the only consumer, finished —
+//! every such job.
+//!
+//! # Truncation and the log bound
+//!
+//! The facade reclaims the log from completions that happen anyway: a
+//! finished batch proves its worker adopted up to the batch's stamp, and
+//! a control or query reply proves its epoch. The log is truncated to
+//! the minimum adopted epoch across workers (the RCU grace period).
+//! `Adopt` nudges are reply-less, so a run of posts with no batch in
+//! between would grow the log without limit; once [`POSTED_LOG_BOUND`]
+//! ops are retained, the post that reaches the bound makes one
+//! synchronous adoption round trip, after which the log is empty.
 
 use crate::health::HealthEvent;
 use crate::pool::PoolUpdate;
 use crate::switch::SilkRoadSwitch;
-use parking_lot::Mutex;
 use sr_asic::MeterConfig;
 use sr_types::{Dip, FiveTuple, Nanos, TypeError, Vip};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
+
+/// Most ops the threaded engine's log retains; the post that reaches it
+/// makes one synchronous adoption round trip instead of a nudge.
+pub(crate) const POSTED_LOG_BOUND: usize = 1024;
 
 /// One published control-plane operation. Immutable once in the log.
 #[derive(Clone, Debug)]
@@ -94,6 +134,21 @@ pub(crate) enum ControlOp {
     },
 }
 
+impl ControlOp {
+    /// Whether the op is posted (published without waiting for the
+    /// workers) rather than synchronous. Posted ops are exactly the
+    /// infallible ones that return nothing; see the module docs.
+    pub(crate) fn is_posted(&self) -> bool {
+        matches!(
+            self,
+            ControlOp::CloseConn { .. }
+                | ControlOp::Advance { .. }
+                | ControlOp::AttachMeter { .. }
+                | ControlOp::DetachMeter { .. }
+        )
+    }
+}
+
 /// Apply one op to one pipe's switch. Returns (connections expired,
 /// result). Shared by the threaded workers and the inline backend so
 /// both interpret the op stream identically.
@@ -129,187 +184,96 @@ pub(crate) fn apply_op(
     }
 }
 
-/// Append-only log of published ops; `epoch() == base + len` counts
-/// every op ever published. See the module docs for the adoption
-/// protocol.
-pub(crate) struct ControlLog {
-    /// Published-op count; readable without the lock.
-    epoch: AtomicU64,
-    inner: Mutex<LogInner>,
-}
-
-struct LogInner {
-    /// Epoch of the first retained op (earlier ops were truncated after
-    /// every pipe adopted them).
-    base: u64,
-    ops: Vec<Arc<ControlOp>>,
-}
-
-impl ControlLog {
-    /// An empty log at epoch 0.
-    pub(crate) fn new() -> ControlLog {
-        ControlLog {
-            epoch: AtomicU64::new(0),
-            inner: Mutex::new(LogInner {
-                base: 0,
-                ops: Vec::new(),
-            }),
-        }
-    }
-
-    /// The current epoch (total ops ever published).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(SeqCst)
-    }
-
-    /// Publish one op; returns the epoch that includes it.
-    pub(crate) fn publish(&self, op: ControlOp) -> u64 {
-        let mut g = self.inner.lock();
-        g.ops.push(Arc::new(op));
-        let e = g.base + g.ops.len() as u64;
-        self.epoch.store(e, SeqCst);
-        e
-    }
-
-    /// Copy the `Arc` refs of ops in `[from, to)` into `buf` (clamped to
-    /// what the log retains). Callers apply them *after* releasing the
-    /// internal lock — this method holds it only for the pointer copies.
-    pub(crate) fn copy_range(&self, from: u64, to: u64, buf: &mut Vec<Arc<ControlOp>>) {
-        let g = self.inner.lock();
-        let lo = from.max(g.base).saturating_sub(g.base) as usize;
-        let hi = (to.max(g.base).saturating_sub(g.base) as usize).min(g.ops.len());
-        if let Some(range) = g.ops.get(lo..hi) {
-            buf.extend(range.iter().cloned());
-        }
-    }
-
-    /// Drop every op at epoch ≤ `upto`. Only call once all adopters have
-    /// confirmed reaching `upto` (the facade does this after each
-    /// synchronous control round-trip).
-    pub(crate) fn truncate_to(&self, upto: u64) {
-        let mut g = self.inner.lock();
-        if upto <= g.base {
-            return;
-        }
-        let n = ((upto - g.base) as usize).min(g.ops.len());
-        g.ops.drain(..n);
-        g.base += n as u64;
-    }
-
-    /// Ops currently retained (post-truncation), for tests.
-    #[cfg(test)]
-    pub(crate) fn retained(&self) -> usize {
-        self.inner.lock().ops.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use crate::config::SilkRoadConfig;
+    use sr_types::Addr;
 
-    fn advance_op(s: u64) -> ControlOp {
-        ControlOp::Advance {
-            now: Nanos::from_secs(s),
-        }
+    fn vip() -> Vip {
+        Vip(Addr::v4(20, 0, 0, 1, 80))
     }
 
-    fn op_secs(op: &ControlOp) -> u64 {
-        match op {
-            ControlOp::Advance { now } => now.0 / 1_000_000_000,
-            _ => panic!("test publishes only Advance ops"),
-        }
+    fn dips() -> Vec<Dip> {
+        (1..=3).map(|i| Dip(Addr::v4(10, 0, 0, i, 20))).collect()
+    }
+
+    /// One op of every variant, all naming [`vip`].
+    fn every_op() -> Vec<ControlOp> {
+        let now = Nanos::from_secs(1);
+        vec![
+            ControlOp::AddVip {
+                vip: vip(),
+                dips: dips(),
+            },
+            ControlOp::RemoveVip { vip: vip() },
+            ControlOp::RequestUpdate {
+                vip: vip(),
+                op: PoolUpdate::Add(Dip(Addr::v4(10, 0, 0, 9, 20))),
+                now,
+            },
+            ControlOp::Health {
+                events: vec![HealthEvent::Down(vip(), Dip(Addr::v4(10, 0, 0, 1, 20)))],
+                now,
+            },
+            ControlOp::AttachMeter {
+                vip: vip(),
+                cfg: MeterConfig {
+                    cir_bps: 1_000_000,
+                    cbs: 10_000,
+                    eir_bps: 2_000_000,
+                    ebs: 20_000,
+                },
+            },
+            ControlOp::DetachMeter { vip: vip() },
+            ControlOp::Advance { now },
+            ControlOp::ExpireIdle { now },
+            ControlOp::CloseConn {
+                tuple: FiveTuple::tcp(Addr::v4(1, 2, 3, 4, 1234), vip().0),
+                now,
+                pipe: 0,
+            },
+        ]
     }
 
     #[test]
-    fn publish_bumps_epoch_and_copy_range_clamps() {
-        let log = ControlLog::new();
-        assert_eq!(log.epoch(), 0);
-        for s in 0..10 {
-            assert_eq!(log.publish(advance_op(s)), s + 1);
-        }
-        let mut buf = Vec::new();
-        log.copy_range(3, 7, &mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(op_secs(&buf[0]), 3);
-        assert_eq!(op_secs(&buf[3]), 6);
-        // Out-of-retention and inverted ranges yield nothing extra.
-        buf.clear();
-        log.copy_range(10, 10, &mut buf);
-        log.copy_range(7, 3, &mut buf);
-        assert!(buf.is_empty());
+    fn posted_ops_are_exactly_the_infallible_ones() {
+        let posted: Vec<&str> = every_op()
+            .iter()
+            .filter(|op| op.is_posted())
+            .map(|op| match op {
+                ControlOp::CloseConn { .. } => "CloseConn",
+                ControlOp::Advance { .. } => "Advance",
+                ControlOp::AttachMeter { .. } => "AttachMeter",
+                ControlOp::DetachMeter { .. } => "DetachMeter",
+                _ => "synchronous op classified as posted",
+            })
+            .collect();
+        assert_eq!(
+            posted,
+            ["AttachMeter", "DetachMeter", "Advance", "CloseConn"]
+        );
     }
 
+    /// A posted op's outcome is never reported, so it must never have
+    /// one: no expiry count and no error, whether or not its VIP exists
+    /// and whether or not the applying pipe owns the connection.
     #[test]
-    fn truncation_keeps_epochs_stable() {
-        let log = ControlLog::new();
-        for s in 0..8 {
-            log.publish(advance_op(s));
-        }
-        log.truncate_to(5);
-        assert_eq!(log.epoch(), 8);
-        assert_eq!(log.retained(), 3);
-        // Epoch-addressed reads still line up after the base moved.
-        let mut buf = Vec::new();
-        log.copy_range(5, 8, &mut buf);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(op_secs(&buf[0]), 5);
-        // Requests below the base are clamped, not misaligned.
-        buf.clear();
-        log.copy_range(0, 8, &mut buf);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(op_secs(&buf[0]), 5);
-        // Truncation is idempotent and monotonic.
-        log.truncate_to(5);
-        log.truncate_to(2);
-        assert_eq!(log.retained(), 3);
-    }
-
-    /// Satellite: publish/adopt under contention. Four adopter threads
-    /// chase a publisher; every adopter must observe every op exactly
-    /// once, in publication order, no matter how the schedules
-    /// interleave.
-    #[test]
-    fn concurrent_adopters_see_every_op_in_order() {
-        const OPS: u64 = 2_000;
-        const ADOPTERS: usize = 4;
-        let log = Arc::new(ControlLog::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        for _ in 0..ADOPTERS {
-            let log = Arc::clone(&log);
-            let stop = Arc::clone(&stop);
-            threads.push(std::thread::spawn(move || {
-                let mut cursor = 0u64;
-                let mut buf = Vec::new();
-                let mut seen = Vec::new();
-                loop {
-                    let target = log.epoch();
-                    if cursor < target {
-                        buf.clear();
-                        log.copy_range(cursor, target, &mut buf);
-                        assert_eq!(buf.len() as u64, target - cursor, "range short");
-                        for op in &buf {
-                            seen.push(op_secs(op));
-                        }
-                        cursor = target;
-                    } else if stop.load(SeqCst) && log.epoch() == cursor {
-                        break;
-                    } else {
-                        std::thread::yield_now();
-                    }
+    fn posted_ops_never_fail_or_expire() {
+        for registered in [false, true] {
+            let mut sw = SilkRoadSwitch::new(SilkRoadConfig::small_test());
+            if registered {
+                sw.add_vip(vip(), dips()).unwrap();
+            }
+            for op in every_op().iter().filter(|op| op.is_posted()) {
+                for pipe_id in [0, 1] {
+                    assert_eq!(
+                        apply_op(pipe_id, &mut sw, op),
+                        (0, Ok(())),
+                        "{op:?} on pipe {pipe_id}, VIP registered: {registered}"
+                    );
                 }
-                seen
-            }));
-        }
-        for s in 0..OPS {
-            log.publish(advance_op(s));
-        }
-        stop.store(true, SeqCst);
-        for t in threads {
-            let seen = t.join().unwrap();
-            let expect: Vec<u64> = (0..OPS).collect();
-            assert_eq!(seen, expect, "adopter lost or reordered ops");
+            }
         }
     }
 }

@@ -15,12 +15,22 @@
 //!   rings ([`sr_exec::spsc`]) and buffers are recycled, so the steady
 //!   state neither spawns, joins, nor allocates.
 //! * **Control plane** — calls are published as immutable ops in an
-//!   epoch-versioned `ControlLog`; every job carries an epoch stamp
-//!   and workers adopt ops at batch boundaries, exactly up to each
-//!   stamp. Op/batch interleaving is therefore caller-sequence
-//!   determined — identical in every pipe and for every pipe count —
-//!   preserving bit-identical decisions and PCC under concurrent
-//!   updates (see `engine/control.rs`).
+//!   epoch-versioned [`sr_exec::EpochLog`]; every job carries an epoch
+//!   stamp and workers adopt ops at job boundaries. Op/batch
+//!   interleaving is therefore caller-sequence determined — identical
+//!   in every pipe and for every pipe count — preserving bit-identical
+//!   decisions and PCC under concurrent updates. Ops that can fail or
+//!   return a value are *synchronous*: the call waits for every worker.
+//!   The infallible ones are *posted*: the call returns at once and the
+//!   data plane never waits for them.
+//!
+//!   | synchronous | posted |
+//!   |---|---|
+//!   | [`add_vip`], [`remove_vip`], [`request_update`], [`apply_health_events`], [`expire_idle`] | [`close_connection`], [`advance`], [`attach_meter`], [`detach_meter`] |
+//!
+//!   `engine/control.rs` states the adoption rule (including the
+//!   coalescing `Adopt` nudge and why it is safe under `SeqCst`), the
+//!   truncation rule and the log bound.
 //! * **Streaming** — [`MultiPipeSwitch::stream_batch`] keeps all pipes
 //!   busy without waiting per batch; decisions fold into a commutative
 //!   digest so sustained wall-clock benchmarks (`repro wall`) can prove
@@ -31,6 +41,16 @@
 //! [`MultiPipeSwitch::pipe`]) for harnesses that need it; both backends
 //! share the steering, op-application, and fold code, and the test
 //! suite pins them decision-identical.
+//!
+//! [`add_vip`]: MultiPipeSwitch::add_vip
+//! [`remove_vip`]: MultiPipeSwitch::remove_vip
+//! [`request_update`]: MultiPipeSwitch::request_update
+//! [`apply_health_events`]: MultiPipeSwitch::apply_health_events
+//! [`expire_idle`]: MultiPipeSwitch::expire_idle
+//! [`close_connection`]: MultiPipeSwitch::close_connection
+//! [`advance`]: MultiPipeSwitch::advance
+//! [`attach_meter`]: MultiPipeSwitch::attach_meter
+//! [`detach_meter`]: MultiPipeSwitch::detach_meter
 //!
 //! Invariants the steering upholds (unchanged from v1):
 //!
@@ -55,13 +75,14 @@ use crate::pool::PoolUpdate;
 use crate::stats::SwitchStats;
 use crate::switch::SilkRoadSwitch;
 use crate::update::UpdatePhase;
-use control::{apply_op, ControlLog, ControlOp};
+use control::{apply_op, ControlOp, POSTED_LOG_BOUND};
 use sr_asic::MeterConfig;
-use sr_exec::{spsc, Consumer, Producer};
+use sr_exec::{spsc, Consumer, EpochLog, Producer};
 use sr_hash::{splitmix64, HashFn};
 use sr_types::{Dip, FiveTuple, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
 use std::sync::Arc;
-use worker::{answer_query, worker_loop, BatchBuf, Done, Job, Query, QueryReply};
+pub use worker::LiveWorkers;
+use worker::{answer_query, worker_loop, BatchBuf, ControlReply, Done, Job, Query, QueryReply};
 
 /// Longest inline address encoding ([`sr_types::Addr::encode_to`]):
 /// 16 bytes of IPv6 plus the 2-byte port.
@@ -201,6 +222,9 @@ struct WorkerLink {
     staged: Option<Box<BatchBuf>>,
     /// Batches dispatched and not yet completed.
     in_flight: usize,
+    /// Highest epoch the worker is known to have adopted, learnt from
+    /// its completions (the log may be truncated up to the minimum).
+    adopted: u64,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -214,11 +238,41 @@ impl WorkerLink {
         }
     }
 
-    /// Receive one completion; panics if the worker died.
+    /// Receive one completion; panics if the worker died. A completed
+    /// batch proves adoption up to its stamp.
     fn recv(&mut self) -> Done {
         match self.done.pop() {
-            Some(d) => d,
+            Some(d) => {
+                if let Done::Batch(buf) = &d {
+                    self.adopted = self.adopted.max(buf.epoch);
+                }
+                d
+            }
             None => panic!("pipe worker {} terminated unexpectedly", self.id),
+        }
+    }
+
+    /// Take a completed batch back home, folding its streaming result
+    /// into the accumulators.
+    fn fold_home(&mut self, mut buf: Box<BatchBuf>, packets: &mut u64, digest: &mut u64) {
+        self.in_flight -= 1;
+        *packets += buf.folded_packets;
+        *digest = digest.wrapping_add(buf.folded_digest);
+        buf.reset();
+        self.free.push(buf);
+    }
+
+    /// Wait for the reply to a control or query job stamped `epoch`,
+    /// folding streamed batches that complete ahead of it.
+    fn reply(&mut self, epoch: u64, packets: &mut u64, digest: &mut u64) -> Done {
+        loop {
+            match self.recv() {
+                Done::Batch(buf) => self.fold_home(buf, packets, digest),
+                reply => {
+                    self.adopted = epoch;
+                    return reply;
+                }
+            }
         }
     }
 }
@@ -227,12 +281,8 @@ impl WorkerLink {
 /// streaming batches into the accumulators.
 fn quiesce_link(link: &mut WorkerLink, packets: &mut u64, digest: &mut u64) {
     while link.in_flight > 0 {
-        if let Done::Batch(mut buf) = link.recv() {
-            link.in_flight -= 1;
-            *packets += buf.folded_packets;
-            *digest = digest.wrapping_add(buf.folded_digest);
-            buf.reset();
-            link.free.push(buf);
+        if let Done::Batch(buf) = link.recv() {
+            link.fold_home(buf, packets, digest);
         }
     }
 }
@@ -244,14 +294,38 @@ fn take_buf(link: &mut WorkerLink, packets: &mut u64, digest: &mut u64) -> Box<B
         if let Some(buf) = link.free.pop() {
             return buf;
         }
-        if let Done::Batch(mut buf) = link.recv() {
-            link.in_flight -= 1;
-            *packets += buf.folded_packets;
-            *digest = digest.wrapping_add(buf.folded_digest);
-            buf.reset();
-            return buf;
+        if let Done::Batch(buf) = link.recv() {
+            link.fold_home(buf, packets, digest);
         }
     }
+}
+
+/// Bring every worker up to `epoch`, waiting for one control reply per
+/// pipe. Returns the summed expiry count and the first error any pipe's
+/// adoption produced (pipes hold identical control state, so they fail
+/// identically).
+fn round_trip(
+    links: &mut [WorkerLink],
+    epoch: u64,
+    packets: &mut u64,
+    digest: &mut u64,
+) -> ControlReply {
+    for link in links.iter_mut() {
+        link.send(Job::Control { epoch });
+    }
+    let mut total = ControlReply {
+        expired: 0,
+        error: None,
+    };
+    for link in links.iter_mut() {
+        if let Done::Control(reply) = link.reply(epoch, packets, digest) {
+            total.expired += reply.expired;
+            if total.error.is_none() {
+                total.error = reply.error;
+            }
+        }
+    }
+    total
 }
 
 enum Backend {
@@ -268,7 +342,11 @@ enum Backend {
 pub struct MultiPipeSwitch {
     cfg: SilkRoadConfig,
     steering: FlowSteering,
-    log: Arc<ControlLog>,
+    log: Arc<EpochLog<ControlOp>>,
+    /// The log's truncation point: every op at an epoch ≤ this has been
+    /// dropped, so `log.epoch() - truncated` ops are retained.
+    truncated: u64,
+    live: LiveWorkers,
     backend: Backend,
     /// Streaming fold accumulators (see [`StreamStats`]).
     accum_packets: u64,
@@ -320,7 +398,8 @@ impl MultiPipeSwitch {
             report.render()
         );
         let steering = FlowSteering::new(cfg.seed, pipes);
-        let log = Arc::new(ControlLog::new());
+        let log = Arc::new(EpochLog::new());
+        let live = LiveWorkers::default();
         let depth = opts.ring_depth.max(1);
         let backend = if opts.threaded {
             let cores = sr_exec::available_cores();
@@ -343,6 +422,7 @@ impl MultiPipeSwitch {
                     let worker_steering = steering.clone();
                     let worker_log = Arc::clone(&log);
                     let pin_core = (opts.pin_cores && cores >= 2).then_some(id % cores);
+                    let guard = live.enlist();
                     let join = std::thread::Builder::new()
                         .name(format!("sr-pipe-{id}"))
                         .spawn(move || {
@@ -353,6 +433,7 @@ impl MultiPipeSwitch {
                                 jobs_rx,
                                 done_tx,
                                 pin_core,
+                                guard,
                             )
                         })
                         .expect("spawn pipe worker");
@@ -363,6 +444,7 @@ impl MultiPipeSwitch {
                         free: (0..depth).map(|_| BatchBuf::boxed()).collect(),
                         staged: None,
                         in_flight: 0,
+                        adopted: 0,
                         join: Some(join),
                     }
                 })
@@ -385,6 +467,8 @@ impl MultiPipeSwitch {
             cfg,
             steering,
             log,
+            truncated: 0,
+            live,
             backend,
             accum_packets: 0,
             accum_digest: 0,
@@ -407,6 +491,13 @@ impl MultiPipeSwitch {
     /// Whether per-pipe worker threads are running.
     pub fn is_threaded(&self) -> bool {
         matches!(self.backend, Backend::Threaded(_))
+    }
+
+    /// A handle on this engine's running-worker count (zero on the
+    /// inline backend). It outlives the engine: once the engine is
+    /// dropped, the count must read zero.
+    pub fn live_workers(&self) -> LiveWorkers {
+        self.live.clone()
     }
 
     /// One pipe, for per-pipe (lossless) counter inspection. `None` on
@@ -463,11 +554,9 @@ impl MultiPipeSwitch {
                 link.send(Job::Batch(buf));
                 link.in_flight += 1;
                 loop {
-                    if let Done::Batch(mut done) = link.recv() {
-                        link.in_flight -= 1;
+                    if let Done::Batch(done) = link.recv() {
                         let d = done.out.first().copied();
-                        done.reset();
-                        link.free.push(done);
+                        link.fold_home(done, pa, da);
                         return d.unwrap_or_else(ForwardDecision::dropped);
                     }
                 }
@@ -550,11 +639,9 @@ impl MultiPipeSwitch {
                 }
                 for link in links.iter_mut() {
                     while link.in_flight > 0 {
-                        if let Done::Batch(mut buf) = link.recv() {
-                            link.in_flight -= 1;
+                        if let Done::Batch(buf) = link.recv() {
                             scatter(&buf, out, base);
-                            buf.reset();
-                            link.free.push(buf);
+                            link.fold_home(buf, pa, da);
                         }
                     }
                 }
@@ -639,8 +726,8 @@ impl MultiPipeSwitch {
         stats
     }
 
-    /// Close a connection. Steering picks the owning pipe here, at
-    /// publish time, so every backend (and every pipe count) skips the
+    /// Close a connection (posted). Steering picks the owning pipe here,
+    /// at publish time, so every backend (and every pipe count) skips the
     /// op identically on non-owning pipes.
     pub fn close_connection(&mut self, tuple: &FiveTuple, now: Nanos) {
         let pipe = self.steering.pipe_for(tuple);
@@ -653,12 +740,15 @@ impl MultiPipeSwitch {
 
     // ---- control plane (published ops) ---------------------------------
 
-    /// Publish one op and synchronously bring every pipe up to its epoch.
-    /// Returns the summed expiry count; the first error any pipe's
-    /// adoption produced wins (pipes hold identical control state, so
-    /// they fail identically).
+    /// Publish one op. The inline backend applies it to every pipe at
+    /// once. The threaded backend posts it if it is a posted op (see
+    /// `engine::control`): it nudges the idle workers it concerns and
+    /// returns `Ok(0)`, unless the log has reached its bound. Otherwise
+    /// it brings every pipe up to the op's epoch and returns the summed
+    /// expiry count; the first error any pipe's adoption produced wins
+    /// (pipes hold identical control state, so they fail identically).
     fn control(&mut self, op: ControlOp) -> Result<usize, TypeError> {
-        match &mut self.backend {
+        let links = match &mut self.backend {
             Backend::Inline(st) => {
                 let mut expired = 0;
                 let mut first: Option<TypeError> = None;
@@ -669,50 +759,38 @@ impl MultiPipeSwitch {
                         first = r.err();
                     }
                 }
-                match first {
+                return match first {
                     Some(e) => Err(e),
                     None => Ok(expired),
-                }
+                };
             }
-            Backend::Threaded(links) => {
-                let epoch = self.log.publish(op);
+            Backend::Threaded(links) => links,
+        };
+        let posted = op.is_posted();
+        let owner = match op {
+            ControlOp::CloseConn { pipe, .. } => Some(pipe),
+            _ => None,
+        };
+        let epoch = self.log.publish(op);
+        if posted {
+            reclaim(&self.log, &mut self.truncated, links);
+            if epoch - self.truncated < POSTED_LOG_BOUND as u64 {
                 for link in links.iter_mut() {
-                    link.send(Job::Control { epoch });
-                }
-                let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                let mut expired = 0;
-                let mut first: Option<TypeError> = None;
-                for link in links.iter_mut() {
-                    loop {
-                        match link.recv() {
-                            Done::Control(reply) => {
-                                expired += reply.expired;
-                                if first.is_none() {
-                                    first = reply.error;
-                                }
-                                break;
-                            }
-                            Done::Batch(mut buf) => {
-                                // A streamed batch completing while we
-                                // wait; fold and recycle it.
-                                link.in_flight -= 1;
-                                *pa += buf.folded_packets;
-                                *da = da.wrapping_add(buf.folded_digest);
-                                buf.reset();
-                                link.free.push(buf);
-                            }
-                            Done::Query(_) => {}
-                        }
+                    if (owner.is_none() || owner == Some(link.id)) && link.jobs.is_empty() {
+                        link.send(Job::Adopt { epoch });
                     }
                 }
-                // Every pipe confirmed adoption: the grace period is over
-                // and the ops can be reclaimed.
-                self.log.truncate_to(epoch);
-                match first {
-                    Some(e) => Err(e),
-                    None => Ok(expired),
-                }
+                return Ok(0);
             }
+        }
+        let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
+        let reply = round_trip(links, epoch, pa, da);
+        // Every pipe confirmed adoption: the grace period is over and
+        // the ops can be reclaimed.
+        reclaim(&self.log, &mut self.truncated, links);
+        match reply.error {
+            Some(e) => Err(e),
+            None => Ok(reply.expired),
         }
     }
 
@@ -751,20 +829,20 @@ impl MultiPipeSwitch {
         .map(|_| ())
     }
 
-    /// Attach a VIP meter on every pipe. Each pipe polices its own share
-    /// of the VIP's flows, so a chip-level rate `r` is configured as `r`
-    /// per pipe only if the caller wants per-pipe ceilings; pass the
-    /// already-divided rate for an aggregate bound.
+    /// Attach a VIP meter on every pipe (posted). Each pipe polices its
+    /// own share of the VIP's flows, so a chip-level rate `r` is
+    /// configured as `r` per pipe only if the caller wants per-pipe
+    /// ceilings; pass the already-divided rate for an aggregate bound.
     pub fn attach_meter(&mut self, vip: Vip, cfg: MeterConfig) {
         let _ = self.control(ControlOp::AttachMeter { vip, cfg });
     }
 
-    /// Detach a VIP's meter on every pipe.
+    /// Detach a VIP's meter on every pipe (posted).
     pub fn detach_meter(&mut self, vip: Vip) {
         let _ = self.control(ControlOp::DetachMeter { vip });
     }
 
-    /// Run every pipe's control plane up to `now`.
+    /// Run every pipe's control plane up to `now` (posted).
     pub fn advance(&mut self, now: Nanos) {
         let _ = self.control(ControlOp::Advance { now });
     }
@@ -796,26 +874,13 @@ impl MultiPipeSwitch {
                     link.send(Job::Query { epoch, query });
                 }
                 let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                let mut replies = Vec::with_capacity(links.len());
-                for link in links.iter_mut() {
-                    loop {
-                        match link.recv() {
-                            Done::Query(r) => {
-                                replies.push(r);
-                                break;
-                            }
-                            Done::Batch(mut buf) => {
-                                link.in_flight -= 1;
-                                *pa += buf.folded_packets;
-                                *da = da.wrapping_add(buf.folded_digest);
-                                buf.reset();
-                                link.free.push(buf);
-                            }
-                            Done::Control(_) => {}
-                        }
-                    }
-                }
-                replies
+                links
+                    .iter_mut()
+                    .filter_map(|link| match link.reply(epoch, pa, da) {
+                        Done::Query(r) => Some(r),
+                        _ => None,
+                    })
+                    .collect()
             }
         }
     }
@@ -965,6 +1030,17 @@ impl Drop for MultiPipeSwitch {
                 }
             }
         }
+    }
+}
+
+/// Truncate the log to the lowest epoch every worker is known to have
+/// adopted (the RCU grace period). Takes the log lock only when that
+/// point has moved.
+fn reclaim(log: &EpochLog<ControlOp>, truncated: &mut u64, links: &[WorkerLink]) {
+    let floor = links.iter().map(|l| l.adopted).min().unwrap_or(0);
+    if floor > *truncated {
+        log.truncate_to(floor);
+        *truncated = floor;
     }
 }
 
@@ -1218,6 +1294,38 @@ mod tests {
         // Drop without draining: workers must finish the queued batches
         // and join without hanging.
         drop(e);
+    }
+
+    #[test]
+    fn posted_closes_without_batches_keep_the_log_bounded() {
+        let mut thr = threaded(2);
+        let mut seq = engine(2);
+        let syns: Vec<PacketMeta> = (0..512).map(|i| PacketMeta::syn(conn(i))).collect();
+        for e in [&mut thr, &mut seq] {
+            e.process_batch(&syns, Nanos::ZERO);
+            e.advance(Nanos::from_secs(1));
+        }
+        let t = Nanos::from_secs(2);
+        for i in 0..100_000u32 {
+            let tuple = conn(i % 1_024);
+            thr.close_connection(&tuple, t);
+            seq.close_connection(&tuple, t);
+            let retained = thr.log.retained();
+            assert!(
+                retained <= POSTED_LOG_BOUND,
+                "close {i}: {retained} ops retained"
+            );
+        }
+        assert_eq!(thr.conn_count(), 0);
+        assert_eq!(thr.stats(), seq.stats());
+        // A completed batch proves adoption up to its stamp, so the next
+        // post reclaims everything published before the batch.
+        for i in 0..10 {
+            thr.close_connection(&conn(i), t);
+        }
+        thr.process_batch(&syns, t);
+        thr.close_connection(&conn(0), t);
+        assert_eq!(thr.log.retained(), 1);
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //! so the steady-state hot loop allocates nothing.
 //!
 //! Control-plane changes reach the worker as epoch stamps: every job
-//! carries the [`ControlLog`] epoch observed when it was created, and
-//! the worker adopts all ops up to exactly that stamp before acting on
-//! the job (see `engine::control`). Expiry counts and the first error
-//! produced by adopted ops accumulate in the worker and are reported on
-//! the next [`Job::Control`] reply.
+//! carries the control-log epoch observed when it was created, and the
+//! worker adopts the ops up to that stamp before acting on the job;
+//! a [`Job::Adopt`] nudge may adopt further (see `engine::control` for
+//! the rule). Expiry counts and the first error produced by adopted ops
+//! accumulate in the worker and are reported on the next
+//! [`Job::Control`] reply.
 
-use super::control::{apply_op, ControlLog, ControlOp};
+use super::control::{apply_op, ControlOp};
 use super::{FlowSteering, Pipe, MAX_ADDR_BYTES};
 use crate::dataplane::{DataPath, ForwardDecision};
 use crate::memory::MemoryBreakdown;
 use crate::stats::SwitchStats;
 use crate::update::UpdatePhase;
-use sr_exec::{Consumer, Producer};
+use sr_exec::{Consumer, EpochLog, Producer};
 use sr_hash::splitmix64;
 use sr_types::{Dip, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 /// A reusable steered batch travelling steer → worker → steer.
@@ -77,6 +79,12 @@ impl BatchBuf {
 pub(crate) enum Job {
     /// Process a steered batch (after adopting up to its epoch).
     Batch(Box<BatchBuf>),
+    /// Adopt posted ops, without a reply: up to the log's current epoch
+    /// if the ring is empty once that epoch is read, else up to `epoch`.
+    Adopt {
+        /// Adoption target when more jobs are queued behind this one.
+        epoch: u64,
+    },
     /// Adopt up to `epoch` and reply with accumulated op outcomes.
     Control {
         /// Adoption target.
@@ -178,7 +186,7 @@ impl Adopter {
 
     /// Apply every op in `(cursor, target]` to the pipe, in publication
     /// order. Holds the log lock only while copying refs.
-    pub(crate) fn adopt_to(&mut self, pipe: &mut Pipe, log: &ControlLog, target: u64) {
+    pub(crate) fn adopt_to(&mut self, pipe: &mut Pipe, log: &EpochLog<ControlOp>, target: u64) {
         if self.cursor >= target {
             return;
         }
@@ -204,6 +212,36 @@ impl Adopter {
             expired: std::mem::take(&mut self.expired),
             error: self.error.take(),
         }
+    }
+}
+
+/// How many of one engine's pipe workers are running. A clone stays
+/// readable after the engine is dropped, so a caller can check that
+/// shutdown joined every worker of *this* engine, whatever other engines
+/// in the process are doing.
+#[derive(Clone, Debug, Default)]
+pub struct LiveWorkers(Arc<AtomicUsize>);
+
+impl LiveWorkers {
+    /// Workers that have been spawned and have not yet exited.
+    pub fn count(&self) -> usize {
+        self.0.load(SeqCst)
+    }
+
+    /// Count one more worker until the returned guard drops.
+    pub(crate) fn enlist(&self) -> LiveGuard {
+        self.0.fetch_add(1, SeqCst);
+        LiveGuard(Arc::clone(&self.0))
+    }
+}
+
+/// Held by a worker for its whole life; dropping it (on return or
+/// unwind) takes the worker off its [`LiveWorkers`] count.
+pub(crate) struct LiveGuard(Arc<AtomicUsize>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, SeqCst);
     }
 }
 
@@ -281,10 +319,11 @@ fn decision_word(d: &ForwardDecision) -> u64 {
 pub(crate) fn worker_loop(
     mut pipe: Pipe,
     steering: FlowSteering,
-    log: Arc<ControlLog>,
+    log: Arc<EpochLog<ControlOp>>,
     mut jobs: Consumer<Job>,
     mut done: Producer<Done>,
     pin_core: Option<usize>,
+    _live: LiveGuard,
 ) {
     if let Some(core) = pin_core {
         // Best-effort: an unpinnable host just runs unpinned.
@@ -305,6 +344,13 @@ pub(crate) fn worker_loop(
                 if done.push(Done::Batch(buf)).is_err() {
                     break;
                 }
+            }
+            Job::Adopt { epoch } => {
+                // Read the epoch before checking the ring: see the
+                // adoption rule in `engine::control`.
+                let current = log.epoch();
+                let target = if jobs.is_empty() { current } else { epoch };
+                adopter.adopt_to(&mut pipe, &log, target);
             }
             Job::Control { epoch } => {
                 adopter.adopt_to(&mut pipe, &log, epoch);

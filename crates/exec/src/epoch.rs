@@ -7,10 +7,10 @@
 //! is the **epoch**, workers adopt ops in publication order at batch
 //! boundaries only, and published entries are shared by `Arc` so a reader
 //! never holds the log lock while applying one. That idiom is not
-//! engine-specific, so it lives here as [`EpochLog<T>`]: the engine's
-//! `ControlLog` shape generalized over the op type, with a blocking
-//! [`EpochLog::wait_beyond`] for resident workers that park between
-//! epochs instead of spinning.
+//! engine-specific, so it lives here as [`EpochLog<T>`], generic over the
+//! op type: the packet engine logs its control ops in an
+//! `EpochLog<ControlOp>`, and the fleet simulator's resident workers
+//! park between epochs with the blocking [`EpochLog::wait_beyond`].
 //!
 //! Guarantees:
 //!
@@ -226,6 +226,51 @@ mod tests {
         let expect: Vec<u64> = (0..OPS).collect();
         for t in threads {
             assert_eq!(t.join().unwrap(), expect, "reader lost or reordered ops");
+        }
+    }
+
+    /// The packet engine's workers never block on the log: they read
+    /// `epoch()` without the lock and copy the range up to it. That read
+    /// must never run ahead of what `copy_range` can return, so pollers
+    /// see every op exactly once, in order, under any interleaving.
+    #[test]
+    fn polling_adopters_see_every_op_in_order() {
+        const OPS: u64 = 2_000;
+        const READERS: usize = 4;
+        let log: Arc<EpochLog<u64>> = Arc::new(EpochLog::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut threads = Vec::new();
+        for _ in 0..READERS {
+            let log = Arc::clone(&log);
+            let stop = Arc::clone(&stop);
+            threads.push(std::thread::spawn(move || {
+                let mut cursor = 0u64;
+                let mut buf = Vec::new();
+                let mut seen = Vec::new();
+                loop {
+                    let target = log.epoch();
+                    if cursor < target {
+                        buf.clear();
+                        log.copy_range(cursor, target, &mut buf);
+                        assert_eq!(buf.len() as u64, target - cursor, "range short");
+                        seen.extend(buf.iter().map(|a| **a));
+                        cursor = target;
+                    } else if stop.load(SeqCst) && log.epoch() == cursor {
+                        break;
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+                seen
+            }));
+        }
+        for s in 0..OPS {
+            log.publish(s);
+        }
+        stop.store(true, SeqCst);
+        let expect: Vec<u64> = (0..OPS).collect();
+        for t in threads {
+            assert_eq!(t.join().unwrap(), expect, "poller lost or reordered ops");
         }
     }
 }

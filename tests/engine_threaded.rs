@@ -1,7 +1,8 @@
 //! Stress tests for the run-to-completion engine (threaded backend):
 //! control-plane churn concurrent with streamed traffic must not perturb
-//! decisions, and shutdown must be clean no matter how many batches are
-//! still in flight.
+//! decisions, posted control ops must leave the engine indistinguishable
+//! from the inline backend, and shutdown must be clean no matter how
+//! many batches or posted ops are still in flight.
 //!
 //! The decision-identity tests rely on the engine's determinism argument:
 //! the SPSC job rings are FIFO and the facade publishes control ops and
@@ -10,10 +11,13 @@
 //! commutative stream digest then has to be bit-identical everywhere —
 //! one 64-bit value summarizing every DIP, path, and version choice.
 
+use proptest::prelude::*;
 use silkroad::{
-    EngineOptions, HealthEvent, MultiPipeSwitch, PoolUpdate, SilkRoadConfig, StreamStats,
+    EngineOptions, ForwardDecision, HealthEvent, MultiPipeSwitch, PoolUpdate, SilkRoadConfig,
+    StreamStats, SwitchStats, UpdatePhase,
 };
-use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
+use sr_asic::MeterConfig;
+use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
 
 const FLOWS: u32 = 2_048;
 const BATCH: usize = 192; // deliberately not a divisor of FLOWS
@@ -178,18 +182,14 @@ fn streamed_and_sync_traffic_interleave_identically_across_backends() {
 
 #[test]
 fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
-    // Threads named sr-pipe-* must all be gone after each drop; /proc is
-    // the ground truth on Linux (skip the count elsewhere).
-    fn worker_threads() -> Option<usize> {
-        let dir = std::fs::read_dir("/proc/self/task").ok()?;
-        let mut n = 0;
-        for t in dir.flatten() {
-            let comm = std::fs::read_to_string(t.path().join("comm")).unwrap_or_default();
-            if comm.starts_with("sr-pipe-") {
-                n += 1;
-            }
-        }
-        Some(n)
+    // Each engine counts its own workers, so engines that sibling tests
+    // run in parallel in this process cannot show up as leaks here.
+    fn drop_and_check(sw: MultiPipeSwitch, pipes: usize, what: &str) {
+        let live = sw.live_workers();
+        assert_eq!(live.count(), pipes, "{what}: workers not all running");
+        drop(sw);
+        let n = live.count();
+        assert_eq!(n, 0, "{what}: {n} sr-pipe workers leaked");
     }
 
     let syns: Vec<PacketMeta> = (0..512).map(|i| PacketMeta::syn(conn(i))).collect();
@@ -208,25 +208,196 @@ fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
             sw.stream_batch(chunk, t);
         }
         if round % 2 == 0 {
-            // Half the rounds also leave a control op as the *last* job.
+            // Half the rounds also post control ops behind the queued
+            // batches. Posted ops return without waiting, so the workers
+            // may still hold them, and `Adopt` nudges, at the drop.
             sw.advance(Nanos::from_secs(2));
+            for p in syns.iter().take(64) {
+                sw.close_connection(&p.tuple, Nanos::from_secs(2));
+            }
         }
-        drop(sw);
-        if let Some(n) = worker_threads() {
-            assert_eq!(n, 0, "round {round}: {n} sr-pipe workers leaked");
-        }
+        drop_and_check(sw, pipes, &format!("round {round}"));
     }
 
     // Degenerate lifecycles: drop immediately after spawn, and drop with
-    // zero traffic but queued control ops.
+    // zero traffic but a run of posted ops that no batch ever stamps.
     for pipes in [1, 2, 4] {
-        drop(build(pipes, true));
+        drop_and_check(build(pipes, true), pipes, "idle engine");
         let mut sw = build(pipes, true);
-        sw.advance(Nanos::from_secs(1));
-        drop(sw);
+        for i in 0..256 {
+            sw.close_connection(&conn(i), Nanos::from_secs(1));
+            sw.advance(Nanos::from_secs(1));
+        }
+        drop_and_check(sw, pipes, "posted ops only");
     }
-    if let Some(n) = worker_threads() {
-        assert_eq!(n, 0, "degenerate lifecycles leaked {n} workers");
+}
+
+/// Everything a script observed, for comparing backends.
+#[derive(Debug, Default, PartialEq)]
+struct Observed {
+    decisions: Vec<ForwardDecision>,
+    results: Vec<Result<(), TypeError>>,
+    probes: Vec<(usize, Option<UpdatePhase>, Option<PoolVersion>)>,
+    streamed: Vec<StreamStats>,
+    stats: Option<SwitchStats>,
+    conns: usize,
+    versions: Option<(u64, u64, u64, usize)>,
+}
+
+impl Observed {
+    fn finish(mut self, sw: &mut MultiPipeSwitch) -> Observed {
+        self.streamed.push(sw.stream_drain());
+        self.stats = Some(sw.stats());
+        self.conns = sw.conn_count();
+        self.versions = sw.version_counters(vip());
+        self
+    }
+}
+
+fn meter() -> MeterConfig {
+    MeterConfig {
+        cir_bps: 400_000,
+        cbs: 4_000,
+        eir_bps: 800_000,
+        ebs: 8_000,
+    }
+}
+
+/// Posted closes, advances and meter changes interleaved with every
+/// other entry point: synchronous and streamed batches, single packets,
+/// queries and pool updates.
+fn posted_script(sw: &mut MultiPipeSwitch) -> Observed {
+    let mut obs = Observed::default();
+    let mut now = Nanos::ZERO;
+    for round in 0..12u32 {
+        let lo = round * 128;
+        // Overlapping windows: half of each wave is already established.
+        let syns: Vec<PacketMeta> = (lo..lo + 256).map(|i| PacketMeta::syn(conn(i))).collect();
+        sw.process_batch_into(&syns, now, &mut obs.decisions);
+        for i in (lo..lo + 256).step_by(3) {
+            sw.close_connection(&conn(i), now);
+        }
+        now = now.saturating_add(Duration::from_millis(40));
+        sw.advance(now);
+        match round {
+            2 => sw.attach_meter(vip(), meter()),
+            7 => sw.detach_meter(vip()),
+            _ => {}
+        }
+        let data: Vec<PacketMeta> = (lo.saturating_sub(128)..lo + 256)
+            .map(|i| PacketMeta::data(conn(i), 800))
+            .collect();
+        for (k, chunk) in data.chunks(BATCH / 2).enumerate() {
+            sw.stream_batch(chunk, now);
+            sw.close_connection(&conn(lo + 7 * k as u32), now);
+            if k == 1 {
+                sw.advance(now);
+            }
+        }
+        obs.decisions
+            .push(sw.process_packet(&PacketMeta::data(conn(lo + 1), 800), now));
+        let extra = Dip(Addr::v4(10, 0, 0, 9, 20));
+        match round % 6 {
+            1 => obs
+                .results
+                .push(sw.request_update(vip(), PoolUpdate::Add(extra), now)),
+            4 => obs
+                .results
+                .push(sw.request_update(vip(), PoolUpdate::Remove(extra), now)),
+            _ => {}
+        }
+        if round % 3 == 2 {
+            obs.probes.push((
+                sw.conn_count(),
+                sw.update_phase(vip()),
+                sw.current_version(vip()),
+            ));
+            obs.streamed.push(sw.stream_drain());
+        }
+    }
+    obs.finish(sw)
+}
+
+#[test]
+fn posted_ops_interleaved_with_every_entry_point_match_inline() {
+    for pipes in [1, 2, 4] {
+        let reference = posted_script(&mut build(pipes, false));
+        assert!(reference.conns > 0 && reference.stats.as_ref().unwrap().installs > 0);
+        let threaded = posted_script(&mut build(pipes, true));
+        assert_eq!(
+            threaded, reference,
+            "{pipes} pipes: threaded diverged from inline"
+        );
+    }
+}
+
+/// Interpret one generated op against `sw`: `kind` picks the entry
+/// point, `arg` its flow window or time step.
+fn random_op(sw: &mut MultiPipeSwitch, obs: &mut Observed, now: &mut Nanos, kind: u8, arg: u32) {
+    let lo = arg % 1_024;
+    match kind {
+        0 => {
+            let syns: Vec<PacketMeta> = (lo..lo + 64).map(|i| PacketMeta::syn(conn(i))).collect();
+            sw.process_batch_into(&syns, *now, &mut obs.decisions);
+        }
+        1 => {
+            let data: Vec<PacketMeta> = (lo..lo + 96)
+                .map(|i| PacketMeta::data(conn(i), 800))
+                .collect();
+            sw.stream_batch(&data, *now);
+        }
+        2 => obs
+            .decisions
+            .push(sw.process_packet(&PacketMeta::data(conn(lo), 800), *now)),
+        3 => {
+            for i in lo..lo + arg % 7 + 1 {
+                sw.close_connection(&conn(i), *now);
+            }
+        }
+        4 => {
+            *now = now.saturating_add(Duration::from_millis(u64::from(arg % 50)));
+            sw.advance(*now);
+        }
+        5 => {
+            let dip = Dip(Addr::v4(10, 0, 0, 9 + (arg % 2) as u8, 20));
+            let op = if arg % 4 < 2 {
+                PoolUpdate::Add(dip)
+            } else {
+                PoolUpdate::Remove(dip)
+            };
+            obs.results.push(sw.request_update(vip(), op, *now));
+        }
+        6 => obs.probes.push((
+            sw.conn_count(),
+            sw.update_phase(vip()),
+            sw.current_version(vip()),
+        )),
+        _ => match arg % 2 {
+            0 => sw.attach_meter(vip(), meter()),
+            _ => sw.detach_meter(vip()),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any sequence of entry-point calls gives the same decisions,
+    /// outcomes and final state on the threaded engine as inline.
+    #[test]
+    fn random_op_sequences_match_inline(
+        ops in proptest::collection::vec((0u8..8, any::<u32>()), 1..60),
+    ) {
+        let run = |threaded: bool| {
+            let mut sw = build(2, threaded);
+            let mut obs = Observed::default();
+            let mut now = Nanos::ZERO;
+            for &(kind, arg) in &ops {
+                random_op(&mut sw, &mut obs, &mut now, kind, arg);
+            }
+            obs.finish(&mut sw)
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 }
 

@@ -120,6 +120,14 @@ REPLAY_TMP="$(mktemp -d)"
 )
 rm -rf "$REPLAY_TMP"
 
+# pktbench smoke tests: the packet-in/packet-out benchmark on its smoke
+# profile. Each replays the threaded engine against the inline reference
+# (decision digest, PCC 0, no learn-filter drops), so a change to how
+# control ops reach the pipe workers cannot pass unnoticed. pktbench is a
+# workspace of its own, built by path from these crates.
+echo "== pktbench smoke tests (threaded engine vs inline replay)"
+cargo test --release --offline --manifest-path pktbench/Cargo.toml
+
 # The allocation gate only means something with optimizations on: debug
 # builds allocate in places release code does not (and vice versa).
 echo "== alloc regression (release)"
