@@ -291,7 +291,7 @@ pub fn cucotrack_lb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::AlgoHasher;
+    use crate::hashes::KeyHasher;
     use sr_types::{Addr, Dip, FiveTuple, PoolVersion, Vip};
 
     fn rec(i: u8) -> ConnRecord {
@@ -303,14 +303,17 @@ mod tests {
         }
     }
 
-    fn key(g: u32) -> TupleKey {
-        FiveTuple::tcp(Addr::v4_indexed(100, g, 1024), Addr::v4(20, 0, 0, 1, 80)).tuple_key()
+    /// The `g`-th test flow's key and packet-time hashes.
+    fn keyed(h: &KeyHasher, g: u32) -> (TupleKey, ConnHashes) {
+        let tuple = FiveTuple::tcp(Addr::v4_indexed(100, g, 1024), Addr::v4(20, 0, 0, 1, 80));
+        let hashed = h.hash_tuple(&tuple);
+        (*hashed.key(), hashed.conn_hashes())
     }
 
-    fn filter(cap: usize) -> (CuckooFilterState, AlgoHasher) {
+    fn filter(cap: usize) -> (CuckooFilterState, KeyHasher) {
         (
             CuckooFilterState::new(cap, 8, 6, AddrFamily::V4, Duration::from_secs(30)),
-            AlgoHasher::new(7, 2),
+            KeyHasher::family(7, 2),
         )
     }
 
@@ -318,13 +321,11 @@ mod tests {
     fn round_trip_and_density() {
         let (mut f, h) = filter(1024);
         for g in 0..100 {
-            let k = key(g);
-            let (hashes, _) = h.hash(&k);
+            let (k, hashes) = keyed(&h, g);
             f.insert(&k, &hashes, rec((g % 250) as u8)).unwrap();
         }
         assert_eq!(f.entries(), 100);
-        let k = key(5);
-        let (hashes, _) = h.hash(&k);
+        let (k, hashes) = keyed(&h, 5);
         let hit = f.lookup(&k, &hashes).unwrap();
         assert!(hit.exact);
         assert_eq!(hit.record.dip, rec(5).dip);
@@ -338,14 +339,12 @@ mod tests {
         // a few thousand distinct probe keys.
         let (mut f, h) = filter(64);
         for g in 0..60 {
-            let k = key(g);
-            let (hashes, _) = h.hash(&k);
+            let (k, hashes) = keyed(&h, g);
             let _ = f.insert(&k, &hashes, rec(1));
         }
         let mut aliased = 0u64;
         for g in 1000..6000 {
-            let k = key(g);
-            let (hashes, _) = h.hash(&k);
+            let (k, hashes) = keyed(&h, g);
             if let Some(hit) = f.lookup(&k, &hashes) {
                 assert!(!hit.exact, "probe keys were never inserted");
                 aliased += 1;
@@ -358,8 +357,7 @@ mod tests {
     #[test]
     fn remove_frees_the_slot() {
         let (mut f, h) = filter(64);
-        let k = key(1);
-        let (hashes, _) = h.hash(&k);
+        let (k, hashes) = keyed(&h, 1);
         f.insert(&k, &hashes, rec(1)).unwrap();
         assert_eq!(f.remove(&k).unwrap().dip, rec(1).dip);
         assert_eq!(f.entries(), 0);
@@ -371,8 +369,7 @@ mod tests {
         let (mut f, h) = filter(32);
         let mut inserted = 0;
         for g in 0..32 {
-            let k = key(g);
-            let (hashes, _) = h.hash(&k);
+            let (k, hashes) = keyed(&h, g);
             if f.insert(&k, &hashes, rec(1)).is_ok() {
                 inserted += 1;
             }
@@ -384,8 +381,7 @@ mod tests {
     #[test]
     fn idle_entries_expire() {
         let (mut f, h) = filter(64);
-        let k = key(1);
-        let (hashes, _) = h.hash(&k);
+        let (k, hashes) = keyed(&h, 1);
         f.insert(&k, &hashes, rec(1)).unwrap();
         assert_eq!(f.expire_idle(Nanos::from_secs(31)), 1);
         assert_eq!(f.entries(), 0);

@@ -8,54 +8,10 @@
 //! itself keeps its production chassis (learning filter, 3-step updates)
 //! and meets the zoo at the trait boundary instead.
 
-use crate::hashes::{ConnHashes, MAX_PACKET_HASHES};
+use crate::hashes::KeyHasher;
 use crate::state::{ConnRecord, ConnState};
 use crate::steer::Steering;
-use sr_hash::{hash_all, HashFn};
-use sr_types::{Dip, Nanos, PacketMeta, PoolVersion, TupleKey, Vip};
-
-/// The engine's hash-once pass: per-stage bucket hashes + match hash +
-/// select hash over the encoded 5-tuple, mirroring `sr-core`'s `KeyHasher`
-/// discipline (every table value derives from one pass).
-pub struct AlgoHasher {
-    fns: Vec<HashFn>,
-    stages: u8,
-}
-
-impl AlgoHasher {
-    /// Build a layout with `stages` bucket lanes plus match and select
-    /// lanes, seeded deterministically from `seed`.
-    pub fn new(seed: u64, stages: usize) -> AlgoHasher {
-        assert!(
-            stages + 2 <= MAX_PACKET_HASHES,
-            "hash layout needs {} lanes; MAX_PACKET_HASHES is {}",
-            stages + 2,
-            MAX_PACKET_HASHES
-        );
-        AlgoHasher {
-            fns: HashFn::family(seed, stages + 2),
-            stages: stages as u8,
-        }
-    }
-
-    /// Hash a packet's key once; returns the encoded key, the
-    /// [`ConnHashes`] bundle, and the DIP-select hash.
-    // srlint: hot-path begin
-    pub fn hash(&self, key: &TupleKey) -> (ConnHashes, u64) {
-        let mut vals = [0u64; MAX_PACKET_HASHES];
-        hash_all(&self.fns, key.as_slice(), &mut vals[..self.fns.len()]);
-        let stages = usize::from(self.stages);
-        let match_hash = vals[stages];
-        let select_hash = vals[stages + 1];
-        let mut stage_hashes = [0u64; MAX_PACKET_HASHES];
-        stage_hashes[..stages].copy_from_slice(&vals[..stages]);
-        (
-            ConnHashes::from_parts(stage_hashes, self.stages, match_hash),
-            select_hash,
-        )
-    }
-    // srlint: hot-path end
-}
+use sr_types::{Dip, Nanos, PacketMeta, PoolVersion, Vip};
 
 /// Counters an engine accumulates while processing a trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,7 +70,7 @@ impl AlgoDecision {
 
 /// A complete algorithm: connection state + steering + hash-once pass.
 pub struct AlgoEngine<C: ConnState, S: Steering> {
-    hasher: AlgoHasher,
+    hasher: KeyHasher,
     conn: C,
     steer: S,
     stats: EngineStats,
@@ -122,10 +78,11 @@ pub struct AlgoEngine<C: ConnState, S: Steering> {
 
 impl<C: ConnState, S: Steering> AlgoEngine<C, S> {
     /// Compose an engine. `stages` sizes the bucket-hash lanes the
-    /// [`ConnState`] consumes (SilkRoad uses 4, the cuckoo filter 2).
+    /// [`ConnState`] consumes (SilkRoad uses 4, the cuckoo filter 2); the
+    /// hash layout is [`KeyHasher::family`].
     pub fn new(conn: C, steer: S, seed: u64, stages: usize) -> AlgoEngine<C, S> {
         AlgoEngine {
-            hasher: AlgoHasher::new(seed, stages),
+            hasher: KeyHasher::family(seed, stages),
             conn,
             steer,
             stats: EngineStats::default(),
@@ -178,8 +135,10 @@ impl<C: ConnState, S: Steering> AlgoEngine<C, S> {
             self.stats.not_vip += 1;
             return AlgoDecision::not_vip();
         }
-        let key = pkt.tuple.tuple_key();
-        let (hashes, select_hash) = self.hasher.hash(&key);
+        let hashed = self.hasher.hash_tuple(&pkt.tuple);
+        let key = hashed.key();
+        let hashes = hashed.conn_hashes();
+        let select_hash = hashed.select_hash();
         let closing = pkt.flags.is_fin() || pkt.flags.is_rst();
 
         // Version-in-packet fast path: a stamped packet steers without
@@ -197,15 +156,15 @@ impl<C: ConnState, S: Steering> AlgoEngine<C, S> {
             }
         }
 
-        if let Some(hit) = self.conn.lookup(&key, &hashes) {
+        if let Some(hit) = self.conn.lookup(key, &hashes) {
             self.stats.conn_hits += 1;
             if !hit.exact {
                 self.stats.false_hits += 1;
             }
             if closing {
-                self.conn.remove(&key);
+                self.conn.remove(key);
             } else {
-                self.conn.touch(&key, now);
+                self.conn.touch(key, now);
             }
             return AlgoDecision {
                 dip: Some(hit.record.dip),
@@ -227,7 +186,7 @@ impl<C: ConnState, S: Steering> AlgoEngine<C, S> {
                 dip: s.dip,
                 arrived: now,
             };
-            if self.conn.insert(&key, &hashes, record).is_ok() {
+            if self.conn.insert(key, &hashes, record).is_ok() {
                 self.stats.inserts += 1;
             } else {
                 self.stats.insert_failures += 1;
@@ -310,18 +269,5 @@ mod tests {
         assert!(d.dip.is_none());
         assert_eq!(e.stats().not_vip, 1);
         assert_eq!(e.conn_state().entries(), 0);
-    }
-
-    #[test]
-    fn hasher_matches_standalone_fns() {
-        let h = AlgoHasher::new(7, 4);
-        let key = flow(3).tuple_key();
-        let (bundle, select) = h.hash(&key);
-        let fns = HashFn::family(7, 6);
-        for (i, f) in fns.iter().take(4).enumerate() {
-            assert_eq!(bundle.stage_hashes()[i], f.hash(key.as_slice()));
-        }
-        assert_eq!(bundle.match_hash(), fns[4].hash(key.as_slice()));
-        assert_eq!(select, fns[5].hash(key.as_slice()));
     }
 }

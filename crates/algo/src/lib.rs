@@ -53,8 +53,10 @@ pub mod steer;
 pub use concury::{concury_lb, version_tag, ConcuryLb, ConcurySteering};
 pub use cost::{conn_entry_bits, ConnStateDesign, OVERHEAD_BITS};
 pub use cucotrack::{cucotrack_lb, CuckooFilterState, CucotrackLb};
-pub use engine::{AlgoDecision, AlgoEngine, AlgoHasher, EngineStats};
-pub use hashes::{ConnHashes, MAX_PACKET_HASHES};
+pub use engine::{AlgoDecision, AlgoEngine, EngineStats};
+pub use hashes::{
+    BloomHashes, ConnHashes, HashedKey, KeyHasher, MAX_BLOOM_HASHES, MAX_PACKET_HASHES,
+};
 pub use hybrid::{hybrid_lb, HybridLb, HybridSteering};
 pub use pools::VersionedPools;
 pub use registry::AlgoName;

@@ -7,8 +7,7 @@
 //! audit oracle must count exactly those events.
 
 use proptest::prelude::*;
-use sr_algo::{ConnRecord, ConnState, CuckooFilterState, CucotrackLb, MAX_PACKET_HASHES};
-use sr_hash::HashFn;
+use sr_algo::{ConnRecord, ConnState, CuckooFilterState, CucotrackLb, KeyHasher};
 use sr_types::{Addr, AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, PoolVersion, Vip};
 
 fn vip() -> Vip {
@@ -19,16 +18,11 @@ fn flow(g: u32, port: u16) -> FiveTuple {
     FiveTuple::tcp(Addr::v4_indexed(100, g, port), vip().0)
 }
 
-/// Hash a key the way `AlgoEngine` does for a 2-stage ConnState.
-fn hash_for(fns: &[HashFn], key: &sr_types::TupleKey) -> (sr_algo::ConnHashes, u64) {
-    let mut vals = [0u64; MAX_PACKET_HASHES];
-    sr_hash::hash_all(fns, key.as_slice(), &mut vals[..fns.len()]);
-    let mut stage_hashes = [0u64; MAX_PACKET_HASHES];
-    stage_hashes[..2].copy_from_slice(&vals[..2]);
-    (
-        sr_algo::ConnHashes::from_parts(stage_hashes, 2, vals[2]),
-        vals[3],
-    )
+/// A test flow's key and packet-time hashes, hashed the way `AlgoEngine`
+/// does for a 2-stage ConnState.
+fn keyed(hasher: &KeyHasher, tuple: FiveTuple) -> (sr_types::TupleKey, sr_algo::ConnHashes) {
+    let hashed = hasher.hash_tuple(&tuple);
+    (*hashed.key(), hashed.conn_hashes())
 }
 
 proptest! {
@@ -45,7 +39,7 @@ proptest! {
         probes in 256usize..1024,
     ) {
         let mut filter = CuckooFilterState::new(64, 8, 6, AddrFamily::V4, Duration::from_secs(60));
-        let fns = HashFn::family(seed, 4);
+        let hasher = KeyHasher::family(seed, 2);
         let record = ConnRecord {
             vip: vip(),
             version: PoolVersion(0),
@@ -53,8 +47,7 @@ proptest! {
             arrived: Nanos(0),
         };
         for g in 0..resident {
-            let key = flow(g as u32, 1024).tuple_key();
-            let (hashes, _) = hash_for(&fns, &key);
+            let (key, hashes) = keyed(&hasher, flow(g as u32, 1024));
             // Dense filters may refuse inserts; only resident keys matter.
             let _ = filter.insert(&key, &hashes, record);
         }
@@ -62,8 +55,7 @@ proptest! {
         let mut aliased = 0u64;
         for g in 0..probes {
             // Disjoint flow-group range: none of these were inserted.
-            let key = flow(1_000_000 + g as u32, 2048).tuple_key();
-            let (hashes, _) = hash_for(&fns, &key);
+            let (key, hashes) = keyed(&hasher, flow(1_000_000 + g as u32, 2048));
             if let Some(hit) = filter.lookup(&key, &hashes) {
                 prop_assert!(!hit.exact, "never-inserted key cannot match exactly");
                 aliased += 1;
@@ -86,7 +78,7 @@ proptest! {
         let groups: std::collections::BTreeSet<u32> = groups_raw.into_iter().collect();
         let mut filter =
             CuckooFilterState::new(256, 8, 6, AddrFamily::V4, Duration::from_secs(60));
-        let fns = HashFn::family(seed, 4);
+        let hasher = KeyHasher::family(seed, 2);
         let record = ConnRecord {
             vip: vip(),
             version: PoolVersion(3),
@@ -95,8 +87,7 @@ proptest! {
         };
         let mut stored = Vec::new();
         for &g in &groups {
-            let key = flow(g, 443).tuple_key();
-            let (hashes, _) = hash_for(&fns, &key);
+            let (key, hashes) = keyed(&hasher, flow(g, 443));
             if filter.insert(&key, &hashes, record).is_ok() {
                 stored.push((key, hashes));
             }

@@ -13,6 +13,7 @@
 //! order, so stdout is byte-identical for every N; per-figure wall-clock
 //! goes to stderr, which is the only output that differs.
 
+use sr_bench::envelope::write_or_exit;
 use sr_bench::report::{mb, pct, Table};
 use sr_bench::{extras, fig_memory, fig_meta, fig_pcc, fig_version, tables, Exec, Scale};
 use sr_types::Duration;
@@ -124,10 +125,10 @@ fn main() {
         "help" | "-h" | "--help" => {
             println!("usage: repro <target> [--full] [--jobs N]");
             println!(
-                "targets: all {} check scale wall fleet churn compare export replay",
+                "targets: all {} check wall fleet churn compare export replay",
                 all.join(" ")
             );
-            println!("scale/wall/fleet/churn/compare options: --smoke (small trace, CI-sized)");
+            println!("wall/fleet/churn/compare options: --smoke (small trace, CI-sized)");
             println!("check usage: repro check [--p4 <file.p4>]");
             println!("churn usage: repro churn [--smoke] [--flood]");
             println!("compare usage: repro compare [--smoke] [--algo <name>]");
@@ -136,13 +137,11 @@ fn main() {
         }
         // `check` is deliberately not part of `all`: it is the srcheck
         // verification gate (placement reports + pass/fail exit code), not
-        // an evaluation figure. `scale` is excluded too: its output is
-        // timing-dependent, and `all`'s stdout must stay byte-identical
-        // across hosts and `--jobs` settings. `export`/`replay` take a
-        // file argument and are likewise part of the verification surface,
-        // not the figure set.
+        // an evaluation figure. The benches (`wall` through `replay`) are
+        // excluded too: their output is timing-dependent, and `all`'s
+        // stdout must stay byte-identical across hosts and `--jobs`
+        // settings. `export`/`replay` also take a file argument.
         "check" => run_check(parse_value_flag(&args, "p4").as_deref()),
-        "scale" => run_scale(args.iter().any(|a| a == "--smoke")),
         "wall" => run_wall(args.iter().any(|a| a == "--smoke")),
         "fleet" => run_fleet(args.iter().any(|a| a == "--smoke")),
         "churn" => run_churn(
@@ -287,70 +286,6 @@ fn run_check(p4_path: Option<&str>) {
     }
 }
 
-/// `repro scale [--smoke]` — the multi-pipe saturation sweep. Prints a
-/// throughput table and writes `BENCH_throughput.json` to the current
-/// directory. `--smoke` shrinks the trace for CI; the committed JSON
-/// comes from the full run.
-fn run_scale(smoke: bool) {
-    use sr_bench::saturation;
-    let (flows, passes) = if smoke { (16_384, 4) } else { (65_536, 16) };
-    let pipe_counts = [1usize, 2, 4];
-    let sweep = saturation::sweep(flows, passes, 1_024, &pipe_counts);
-    let mut t = Table::new(
-        format!("Saturation — multi-pipe aggregate throughput ({flows} flows, {passes} passes)"),
-        &[
-            "pipes",
-            "pps (modeled)",
-            "wall pps",
-            "max pipe busy",
-            "modeled speedup",
-            "wall speedup",
-        ],
-    );
-    for p in &sweep.points {
-        t.row(vec![
-            p.pipes.to_string(),
-            format!("{:.2} Mpps", p.pps / 1e6),
-            format!("{:.2} Mpps", p.wall_pps / 1e6),
-            format!("{:.2} ms", p.max_pipe_busy_ns as f64 / 1e6),
-            format!("{:.2}x", sweep.modeled_speedup(p.pipes).unwrap_or(1.0)),
-            format!("{:.2}x", sweep.wall_speedup(p.pipes).unwrap_or(1.0)),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "decision identity across pipe counts: {}",
-        if sweep.decisions_match {
-            "OK"
-        } else {
-            "DIVERGED"
-        }
-    );
-    let json = sweep.to_json();
-    let path = "BENCH_throughput.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !sweep.decisions_match {
-        eprintln!("repro scale: per-flow decisions diverged across pipe counts");
-        std::process::exit(1);
-    }
-    // The >=3x acceptance target applies to the full run; the CI smoke
-    // trace is small enough that we only sanity-check the direction. The
-    // target is about the *modeled* chip aggregate — measured wall-clock
-    // scaling is `repro wall`'s gate.
-    let target = if smoke { 1.0 } else { 3.0 };
-    let speedup = sweep.modeled_speedup(4).unwrap_or(0.0);
-    if speedup < target {
-        eprintln!("repro scale: 4-pipe modeled speedup {speedup:.2}x below the {target}x target");
-        std::process::exit(1);
-    }
-}
-
 /// `repro wall [--smoke]` — measured wall-clock scaling of the
 /// run-to-completion engine. Streams a steady-state trace through the
 /// threaded backend at each pipe count and writes `BENCH_wall.json`.
@@ -365,7 +300,7 @@ fn run_wall(smoke: bool) {
     use sr_bench::wall;
     let (flows, passes) = if smoke { (8_192, 4) } else { (65_536, 16) };
     let pipe_counts = [1usize, 2, 4];
-    let sweep = wall::sweep(flows, passes, 1_024, &pipe_counts);
+    let sweep = wall::sweep(smoke, flows, passes, 1_024, &pipe_counts);
     let mut t = Table::new(
         format!(
             "Wall — run-to-completion engine, measured ({flows} flows, {passes} passes, \
@@ -392,15 +327,7 @@ fn run_wall(smoke: bool) {
             "DIVERGED"
         }
     );
-    let json = sweep.to_json();
-    let path = "BENCH_wall.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit("BENCH_wall.json", &sweep.to_json());
     if !sweep.digests_match {
         eprintln!("repro wall: decision digests diverged across pipe counts");
         std::process::exit(1);
@@ -488,15 +415,7 @@ fn run_fleet(smoke: bool) {
     ]);
     t.row(vec!["digest".into(), format!("{:016x}", r.digest)]);
     println!("{}", t.render());
-    let json = b.to_json();
-    let path = "BENCH_fleet.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit("BENCH_fleet.json", &b.to_json());
     if r.pcc_violations > 0 {
         eprintln!("repro fleet: {} PCC violations", r.pcc_violations);
         std::process::exit(1);
@@ -638,15 +557,7 @@ fn run_churn(smoke: bool, flood: bool) {
         "decision digest identity (arms, pipe counts): {}",
         if b.digests_ok() { "OK" } else { "DIVERGED" }
     );
-    let json = b.to_json();
-    let path = "BENCH_churn.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit("BENCH_churn.json", &b.to_json());
     if !b.digests_ok() {
         eprintln!("repro churn: decision digests diverged across arms or pipe counts");
         std::process::exit(1);
@@ -736,15 +647,7 @@ fn run_compare(smoke: bool, only: Option<&str>) {
         ]);
     }
     println!("{}", t.render());
-    let json = b.to_json();
-    let path = "BENCH_compare.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit("BENCH_compare.json", &b.to_json());
     if let Some(p) = b.points.iter().find(|p| !p.placeable) {
         eprintln!("repro compare: {} layout is not srcheck-placeable", p.algo);
         std::process::exit(1);
@@ -893,15 +796,7 @@ fn run_replay(path: &str, pipes: usize, smoke: bool, encap: bool) {
         report.pcc_violations.to_string(),
     ]);
     println!("{}", t.render());
-    let json = report.to_json();
-    let out = "BENCH_replay.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit("BENCH_replay.json", &report.to_json(smoke));
     if !smoke && report.frames < 100_000 {
         eprintln!(
             "repro replay: full run needs a 100K+-frame capture, got {} (use --smoke for small captures)",
@@ -1303,7 +1198,7 @@ fn run(cmd: &str, scale: Scale, exec: &Exec) {
             );
             // Keep the slow point *above* the arrival rate: below it the
             // backlog grows without bound and both designs break (the
-            // bloom-saturation regime the fig18 discussion covers).
+            // bloom-saturated regime the fig18 discussion covers).
             let arrivals = 2_770_000.0 * scale.rate_factor / 60.0;
             let rates = [(arrivals * 1.2) as u64, (arrivals * 10.0) as u64, 200_000];
             for p in ablations::insertion_rate_sweep(exec, scale, &rates) {

@@ -1,4 +1,4 @@
-//! `repro churn` — paced new-connection saturation sweep over the
+//! `repro churn` — paced new-connection setup-rate sweep over the
 //! batched setup pipeline (`BENCH_churn.json`).
 //!
 //! SilkRoad's headline claim is surviving Fig 8 churn rates — up to tens
@@ -37,6 +37,7 @@
 //! installed state, and the background flows must see zero PCC
 //! violations.
 
+use crate::envelope::{peak_rss_bytes, Envelope, Value};
 use silkroad::{
     DataPath, FlowSteering, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig,
 };
@@ -62,8 +63,8 @@ pub const SPEEDUP_TARGET: f64 = 3.0;
 #[derive(Clone, Debug)]
 pub struct ChurnParams {
     /// Untimed warmup waves before the clock starts (buffers, caches,
-    /// and the install path all go hot — same reasoning as the
-    /// saturation sweep's warmup pass).
+    /// and the install path all go hot — same reasoning as the wall
+    /// sweep's warm pass).
     pub warmup_waves: u32,
     /// Timed waves of new connections.
     pub waves: u32,
@@ -169,7 +170,7 @@ impl ChurnBench {
     }
 
     /// The gated speedup: the lowest storm factor's point (unreplicated
-    /// SYNs — the pure new-connection saturation rate). Storm-replicated
+    /// SYNs — the pure new-connection setup rate). Storm-replicated
     /// points compress toward 1× in *both* arms because duplicate SYNs
     /// pay the same learn-dedup probes either way; they are reported for
     /// PCC/depth behaviour, not gated on ratio.
@@ -196,79 +197,64 @@ impl ChurnBench {
 
     /// Render as the committed `BENCH_churn.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"churn\",\n");
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str(&format!(
-            "  \"warmup_waves\": {},\n",
-            self.params.warmup_waves
-        ));
-        s.push_str(&format!("  \"waves\": {},\n", self.params.waves));
-        s.push_str(&format!(
-            "  \"flows_per_wave\": {},\n",
-            self.params.flows_per_wave
-        ));
-        s.push_str(&format!("  \"batch\": {},\n", self.params.batch));
-        s.push_str(&format!(
-            "  \"pipe_counts\": [{}],\n",
-            self.params
-                .pipe_counts
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::rss::rss_json(self.peak_rss_bytes)
-        ));
-        s.push_str(
-            "  \"note\": \"paired arms over one workload: per-packet legacy-install baseline \
-             vs batched fused-setup path; setups/s covers the full miss -> learn -> CPU insert \
-             -> promote pipeline including advance(); digests are the engine's commutative \
-             decision fold and must match across arms and pipe counts\",\n",
-        );
-        s.push_str(&format!(
-            "  \"gate_speedup\": {:.3},\n  \"speedup_floor\": {:.1},\n  \
-             \"speedup_target\": {:.1},\n",
-            self.gate_speedup(),
-            SPEEDUP_FLOOR,
-            SPEEDUP_TARGET,
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"storm\": {}, \"setups\": {}, \"packets\": {}, \
-                 \"baseline_ns\": {}, \"batched_ns\": {}, \
-                 \"baseline_setups_per_sec\": {:.0}, \"batched_setups_per_sec\": {:.0}, \
-                 \"speedup\": {:.3}, \"learn_depth_p50\": {}, \"learn_depth_p90\": {}, \
-                 \"learn_depth_max\": {}, \"transit_fill_peak\": {:.4}, \
-                 \"pcc_violations\": {}, \"overflow_drops\": {}, \"digest\": \"{:016x}\", \
-                 \"digests_match_arms\": {}, \"digests_match_pipes\": {}}}{}\n",
-                p.storm,
-                p.setups,
-                p.packets,
-                p.baseline_ns,
-                p.batched_ns,
-                p.baseline_setups_per_sec,
-                p.batched_setups_per_sec,
-                p.speedup,
-                p.learn_depth_p50,
-                p.learn_depth_p90,
-                p.learn_depth_max,
-                p.transit_fill_peak,
-                p.pcc_violations,
-                p.overflow_drops,
-                p.digest,
-                p.digests_match_arms,
-                p.digests_match_pipes,
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
+        Envelope {
+            bench: "churn",
+            smoke: self.smoke,
+            host_cores: self.host_cores,
+            peak_rss_bytes: self.peak_rss_bytes,
+            note: Some(
+                "paired arms over one workload: per-packet legacy-install baseline vs batched \
+                 fused-setup path; setups/s covers the full miss -> learn -> CPU insert -> \
+                 promote pipeline including advance(); digests are the engine's commutative \
+                 decision fold and must match across arms and pipe counts",
+            ),
+            fields: vec![
+                ("warmup_waves", self.params.warmup_waves.into()),
+                ("waves", self.params.waves.into()),
+                ("flows_per_wave", self.params.flows_per_wave.into()),
+                ("batch", self.params.batch.into()),
+                (
+                    "pipe_counts",
+                    Value::List(self.params.pipe_counts.iter().map(|&p| p.into()).collect()),
+                ),
+                ("gate_speedup", Value::Float(self.gate_speedup(), 3)),
+                ("speedup_floor", Value::Float(SPEEDUP_FLOOR, 1)),
+                ("speedup_target", Value::Float(SPEEDUP_TARGET, 1)),
+            ],
+            points: Some(
+                self.points
+                    .iter()
+                    .map(|p| {
+                        Value::Object(vec![
+                            ("storm", p.storm.into()),
+                            ("setups", p.setups.into()),
+                            ("packets", p.packets.into()),
+                            ("baseline_ns", p.baseline_ns.into()),
+                            ("batched_ns", p.batched_ns.into()),
+                            (
+                                "baseline_setups_per_sec",
+                                Value::Float(p.baseline_setups_per_sec, 0),
+                            ),
+                            (
+                                "batched_setups_per_sec",
+                                Value::Float(p.batched_setups_per_sec, 0),
+                            ),
+                            ("speedup", Value::Float(p.speedup, 3)),
+                            ("learn_depth_p50", p.learn_depth_p50.into()),
+                            ("learn_depth_p90", p.learn_depth_p90.into()),
+                            ("learn_depth_max", p.learn_depth_max.into()),
+                            ("transit_fill_peak", Value::Float(p.transit_fill_peak, 4)),
+                            ("pcc_violations", p.pcc_violations.into()),
+                            ("overflow_drops", p.overflow_drops.into()),
+                            ("digest", Value::hex(p.digest)),
+                            ("digests_match_arms", p.digests_match_arms.into()),
+                            ("digests_match_pipes", p.digests_match_pipes.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
         }
-        s.push_str("  ]\n}\n");
-        s
+        .render()
     }
 }
 
@@ -289,7 +275,7 @@ fn flow_tuple(g: u32) -> FiveTuple {
 fn churn_cfg(total_flows: u32, legacy: bool) -> SilkRoadConfig {
     SilkRoadConfig {
         conn_capacity: (total_flows as usize) * 2,
-        // Same geometry as the saturation/wall sweeps: wide digests and
+        // Same geometry as the wall sweep: wide digests and
         // a big transit bloom keep collision noise out of the
         // digest-identity gate.
         digest_bits: 24,
@@ -620,7 +606,7 @@ fn percentile(sorted: &[usize], q: f64) -> usize {
 }
 
 /// Measure one storm factor: verification runs first (they also warm
-/// the process — the saturation sweep's cold-start lesson), then the
+/// the process — the wall sweep's cold-start lesson), then the
 /// paired timed arms.
 fn measure_storm(p: &ChurnParams, storm: u32) -> ChurnPoint {
     let waves = build_waves(p, storm);
@@ -678,7 +664,7 @@ pub fn run_with(params: ChurnParams, smoke: bool) -> ChurnBench {
         smoke,
         params,
         host_cores: sr_exec::available_cores(),
-        peak_rss_bytes: crate::rss::peak_rss_bytes(),
+        peak_rss_bytes: peak_rss_bytes(),
         points,
     }
 }
@@ -871,8 +857,6 @@ mod tests {
         for key in [
             "\"bench\": \"churn\"",
             "\"smoke\": true",
-            "\"host_cores\"",
-            "\"peak_rss_bytes\"",
             "\"speedup\"",
             "\"learn_depth_p90\"",
             "\"transit_fill_peak\"",

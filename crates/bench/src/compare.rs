@@ -34,7 +34,8 @@
 //!
 //! Gate logic lives in the `repro` binary; this module only measures.
 
-use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
+use crate::envelope::{peak_rss_bytes, Envelope, Value};
+use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_algo::{
     concury_lb, conn_entry_bits, cucotrack_lb, hybrid_lb, AlgoEngine, AlgoName, ConnState,
     ConnStateDesign, Steering,
@@ -128,6 +129,8 @@ pub struct CompareBench {
     pub params: CompareParams,
     /// Cores on the host that ran the bench.
     pub host_cores: usize,
+    /// Peak resident set of the process (`None` off-Linux).
+    pub peak_rss_bytes: Option<u64>,
     /// One row per algorithm (matrix order, or a single `--algo` row).
     pub points: Vec<AlgoPoint>,
 }
@@ -150,62 +153,57 @@ impl CompareBench {
 
     /// Render as the committed `BENCH_compare.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"compare\",\n");
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str(&format!("  \"waves\": {},\n", self.params.waves));
-        s.push_str(&format!(
-            "  \"flows_per_wave\": {},\n",
-            self.params.flows_per_wave
-        ));
-        s.push_str(&format!(
-            "  \"steady_passes\": {},\n",
-            self.params.steady_passes
-        ));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(
-            "  \"note\": \"identical deterministic workload (waves of new flows + data + \
-             closes, two mid-run DIP-pool updates) through every sr-algo zoo member; \
-             sram_bytes_per_conn is measured peak state over the live connections it \
-             covered; model_bits_per_entry is the shared sr_algo::cost formula; \
-             pcc_violations counts unique remapped connections; steady_pps is wall-clock \
-             and host-dependent, everything else is deterministic\",\n",
-        );
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"algo\": \"{}\", \"packets\": {}, \"setups\": {}, \"inserts\": {}, \
-                 \"insert_fraction\": {:.4}, \"entries_peak\": {}, \"live_peak\": {}, \
-                 \"state_bytes_peak\": {}, \"live_at_state_peak\": {}, \
-                 \"sram_bytes_per_conn\": {:.3}, \"model_bits_per_entry\": {}, \
-                 \"table_bytes\": {}, \"pcc_violations\": {}, \"false_hits\": {}, \
-                 \"stamp_checks\": {}, \"stamp_failures\": {}, \"steady_pps\": {:.0}, \
-                 \"placeable\": {}, \"layout_sram_bytes\": {}}}{}\n",
-                p.algo,
-                p.packets,
-                p.setups,
-                p.inserts,
-                p.insert_fraction,
-                p.entries_peak,
-                p.live_peak,
-                p.state_bytes_peak,
-                p.live_at_state_peak,
-                p.sram_bytes_per_conn,
-                p.model_bits_per_entry,
-                p.table_bytes,
-                p.pcc_violations,
-                p.false_hits,
-                p.stamp_checks,
-                p.stamp_failures,
-                p.steady_pps,
-                p.placeable,
-                p.layout_sram_bytes,
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
+        Envelope {
+            bench: "compare",
+            smoke: self.smoke,
+            host_cores: self.host_cores,
+            peak_rss_bytes: self.peak_rss_bytes,
+            note: Some(
+                "identical deterministic workload (waves of new flows + data + closes, two \
+                 mid-run DIP-pool updates) through every sr-algo zoo member; \
+                 sram_bytes_per_conn is measured peak state over the live connections it \
+                 covered; model_bits_per_entry is the shared sr_algo::cost formula; \
+                 pcc_violations counts unique remapped connections; steady_pps is wall-clock \
+                 and host-dependent, everything else is deterministic",
+            ),
+            fields: vec![
+                ("waves", self.params.waves.into()),
+                ("flows_per_wave", self.params.flows_per_wave.into()),
+                ("steady_passes", self.params.steady_passes.into()),
+            ],
+            points: Some(
+                self.points
+                    .iter()
+                    .map(|p| {
+                        Value::Object(vec![
+                            ("algo", p.algo.label().into()),
+                            ("packets", p.packets.into()),
+                            ("setups", p.setups.into()),
+                            ("inserts", p.inserts.into()),
+                            ("insert_fraction", Value::Float(p.insert_fraction, 4)),
+                            ("entries_peak", p.entries_peak.into()),
+                            ("live_peak", p.live_peak.into()),
+                            ("state_bytes_peak", p.state_bytes_peak.into()),
+                            ("live_at_state_peak", p.live_at_state_peak.into()),
+                            (
+                                "sram_bytes_per_conn",
+                                Value::Float(p.sram_bytes_per_conn, 3),
+                            ),
+                            ("model_bits_per_entry", p.model_bits_per_entry.into()),
+                            ("table_bytes", p.table_bytes.into()),
+                            ("pcc_violations", p.pcc_violations.into()),
+                            ("false_hits", p.false_hits.into()),
+                            ("stamp_checks", p.stamp_checks.into()),
+                            ("stamp_failures", p.stamp_failures.into()),
+                            ("steady_pps", Value::Float(p.steady_pps, 0)),
+                            ("placeable", p.placeable.into()),
+                            ("layout_sram_bytes", p.layout_sram_bytes.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
         }
-        s.push_str("  ]\n}\n");
-        s
+        .render()
     }
 }
 
@@ -349,19 +347,9 @@ impl SilkroadArm {
 
 impl CompareArm for SilkroadArm {
     fn update_pool(&mut self, dips: &[Dip], now: Nanos) {
-        // Full membership → delta ops, exactly the diff the trait adapter
-        // (`silkroad::algo_impl`) proves equivalent.
-        let current: Vec<Dip> = self
-            .sw
-            .current_dips(vip())
-            .map(<[Dip]>::to_vec)
-            .unwrap_or_default();
-        for d in current.iter().filter(|d| !dips.contains(d)) {
-            let _ = self.sw.request_update(vip(), PoolUpdate::Remove(*d), now);
-        }
-        for d in dips.iter().filter(|d| !current.contains(d)) {
-            let _ = self.sw.request_update(vip(), PoolUpdate::Add(*d), now);
-        }
+        // Full membership → delta ops through the trait adapter
+        // (`silkroad::algo_impl`); the compare VIP is always registered.
+        Steering::update_pool(&mut self.sw, vip(), dips, now);
     }
 
     fn advance(&mut self, now: Nanos) {
@@ -708,6 +696,7 @@ pub fn run_with(params: CompareParams, smoke: bool, only: Option<AlgoName>) -> C
         smoke,
         params,
         host_cores: sr_exec::available_cores(),
+        peak_rss_bytes: peak_rss_bytes(),
         points,
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Gate logic lives in the `repro` binary; this module only measures.
 
-use crate::rss::{peak_rss_bytes, rss_json};
+use crate::envelope::{peak_rss_bytes, Envelope, Value};
 use sr_netwide::{sram_fit, SramFitReport};
 use sr_sim::{run_fleet, FleetParams, FleetReport};
 use sr_workload::{synthesize_fleet, FleetConfig};
@@ -107,58 +107,53 @@ impl FleetBench {
     /// Render as the committed `BENCH_fleet.json` document.
     pub fn to_json(&self) -> String {
         let r = &self.report;
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"fleet\",\n");
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            rss_json(self.peak_rss_bytes)
-        ));
-        s.push_str(&format!(
-            "  \"target_conns\": {},\n",
-            self.params.target_conns
-        ));
-        s.push_str(&format!("  \"sim_secs\": {},\n", self.params.sim_secs));
-        s.push_str(&format!("  \"epoch_ms\": {},\n", self.params.epoch_ms));
-        s.push_str(&format!(
-            "  \"storm_factor\": {},\n",
-            self.params.storm_factor
-        ));
-        s.push_str(&format!("  \"clusters\": {},\n", r.clusters));
-        s.push_str(&format!("  \"workers\": {},\n", r.workers));
-        s.push_str(&format!("  \"epochs\": {},\n", r.epochs));
-        s.push_str(&format!("  \"held_median\": {},\n", r.held_median));
-        s.push_str(&format!("  \"held_peak\": {},\n", r.held_peak));
-        s.push_str(&format!("  \"held_final\": {},\n", r.held_final));
-        s.push_str(&format!("  \"opens\": {},\n", r.opens));
-        s.push_str(&format!("  \"closes\": {},\n", r.closes));
-        s.push_str(&format!("  \"opens_per_sec\": {:.0},\n", r.opens_per_sec));
-        s.push_str(&format!("  \"pcc_violations\": {},\n", r.pcc_violations));
-        s.push_str(&format!("  \"updates_applied\": {},\n", r.updates_applied));
-        s.push_str(&format!("  \"updates_skipped\": {},\n", r.updates_skipped));
-        s.push_str(&format!("  \"state_bytes\": {},\n", r.state_bytes));
-        s.push_str(&format!("  \"bytes_per_conn\": {:.2},\n", r.bytes_per_conn));
-        s.push_str(&format!("  \"control_bytes\": {},\n", r.control_bytes));
-        s.push_str(&format!("  \"digest\": \"{:016x}\",\n", r.digest));
-        s.push_str(&format!("  \"elapsed_ns\": {},\n", self.elapsed_ns));
-        s.push_str(
-            "  \"note\": \"bytes_per_conn = (flow stores + timer wheels) / held_peak; \
-             sram_fit scales measured per-cluster peaks to paper occupancy\",\n",
-        );
-        s.push_str(&format!(
-            "  \"sram_fit\": {{\"budget_mb\": {:.0}, \"clusters\": {}, \"fitting\": {}, \
-             \"median_mb\": {:.1}, \"max_mb\": {:.1}, \"scale\": {:.1}}}\n",
-            self.fit.budget_mb,
-            self.fit.clusters,
-            self.fit.fitting,
-            self.fit.median_mb,
-            self.fit.max_mb,
-            self.fit.scale
-        ));
-        s.push_str("}\n");
-        s
+        let fit = &self.fit;
+        Envelope {
+            bench: "fleet",
+            smoke: self.smoke,
+            host_cores: self.host_cores,
+            peak_rss_bytes: self.peak_rss_bytes,
+            note: Some(
+                "bytes_per_conn = (flow stores + timer wheels) / held_peak; sram_fit scales \
+                 measured per-cluster peaks to paper occupancy",
+            ),
+            fields: vec![
+                ("target_conns", self.params.target_conns.into()),
+                ("sim_secs", self.params.sim_secs.into()),
+                ("epoch_ms", self.params.epoch_ms.into()),
+                ("storm_factor", Value::Float(self.params.storm_factor, 0)),
+                ("clusters", r.clusters.into()),
+                ("workers", r.workers.into()),
+                ("epochs", r.epochs.into()),
+                ("held_median", r.held_median.into()),
+                ("held_peak", r.held_peak.into()),
+                ("held_final", r.held_final.into()),
+                ("opens", r.opens.into()),
+                ("closes", r.closes.into()),
+                ("opens_per_sec", Value::Float(r.opens_per_sec, 0)),
+                ("pcc_violations", r.pcc_violations.into()),
+                ("updates_applied", r.updates_applied.into()),
+                ("updates_skipped", r.updates_skipped.into()),
+                ("state_bytes", r.state_bytes.into()),
+                ("bytes_per_conn", Value::Float(r.bytes_per_conn, 2)),
+                ("control_bytes", r.control_bytes.into()),
+                ("digest", Value::hex(r.digest)),
+                ("elapsed_ns", self.elapsed_ns.into()),
+                (
+                    "sram_fit",
+                    Value::Object(vec![
+                        ("budget_mb", Value::Float(fit.budget_mb, 0)),
+                        ("clusters", fit.clusters.into()),
+                        ("fitting", fit.fitting.into()),
+                        ("median_mb", Value::Float(fit.median_mb, 1)),
+                        ("max_mb", Value::Float(fit.max_mb, 1)),
+                        ("scale", Value::Float(fit.scale, 1)),
+                    ]),
+                ),
+            ],
+            points: None,
+        }
+        .render()
     }
 }
 
@@ -190,8 +185,6 @@ mod tests {
         for key in [
             "\"bench\": \"fleet\"",
             "\"smoke\": true",
-            "\"host_cores\"",
-            "\"peak_rss_bytes\"",
             "\"pcc_violations\": 0",
             "\"sram_fit\"",
             "\"digest\"",

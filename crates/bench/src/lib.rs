@@ -14,6 +14,7 @@
 pub mod ablations;
 pub mod churn;
 pub mod compare;
+pub mod envelope;
 pub mod exec;
 pub mod extras;
 pub mod fig_memory;
@@ -23,8 +24,6 @@ pub mod fig_version;
 pub mod fleet;
 pub mod replay;
 pub mod report;
-pub mod rss;
-pub mod saturation;
 pub mod scale;
 pub mod tables;
 pub mod wall;

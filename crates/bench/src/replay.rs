@@ -25,6 +25,7 @@
 //! while the pool changes underneath them. The digests are deterministic
 //! for a given capture, so CI pins the smoke capture's decision digest.
 
+use crate::envelope::{peak_rss_bytes, Envelope, Value};
 use silkroad::{DataPath, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig};
 use sr_types::{Addr, AddrFamily, Dip, Nanos, PacketMeta, RewriteMode, Vip};
 use sr_wire::{parse_frame, rewrite_frame, verify_checksums, Parsed, PcapReader, ENCAP_HEADROOM};
@@ -93,54 +94,41 @@ impl ReplayReport {
         self.parse_errors == 0 && self.checksum_failures == 0 && self.pcc_violations == 0
     }
 
-    /// Render as the `BENCH_replay.json` document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"replay\",\n");
-        s.push_str(&format!("  \"pipes\": {},\n", self.pipes));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode.label()));
-        s.push_str(&format!("  \"frames\": {},\n", self.frames));
-        s.push_str(&format!("  \"parse_errors\": {},\n", self.parse_errors));
-        s.push_str(&format!("  \"conns\": {},\n", self.conns));
-        s.push_str(&format!("  \"vips\": {},\n", self.vips));
-        s.push_str(&format!("  \"bytes_in\": {},\n", self.bytes_in));
-        s.push_str(&format!("  \"bytes_out\": {},\n", self.bytes_out));
-        s.push_str(&format!("  \"rewritten\": {},\n", self.rewritten));
-        s.push_str(&format!("  \"skipped\": {},\n", self.skipped));
-        s.push_str(&format!(
-            "  \"checksum_failures\": {},\n",
-            self.checksum_failures
-        ));
-        s.push_str(&format!("  \"pcc_violations\": {},\n", self.pcc_violations));
-        s.push_str(&format!("  \"update_at\": {},\n", self.update_at));
-        s.push_str(&format!("  \"elapsed_ns\": {},\n", self.elapsed_ns));
-        s.push_str(&format!("  \"pps\": {:.0},\n", self.pps));
-        s.push_str(&format!(
-            "  \"decision_digest\": \"{:016x}\",\n",
-            self.decision_digest
-        ));
-        s.push_str(&format!(
-            "  \"rewrite_digest\": \"{:016x}\",\n",
-            self.rewrite_digest
-        ));
-        s.push_str(&format!(
-            "  \"conn_table_hits\": {},\n",
-            self.conn_table_hits
-        ));
-        s.push_str(&format!(
-            "  \"vip_table_misses\": {},\n",
-            self.vip_table_misses
-        ));
-        s.push_str(&format!("  \"syn_redirects\": {},\n", self.syn_redirects));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::rss::rss_json(self.peak_rss_bytes)
-        ));
-        s.push_str(&format!("  \"ok\": {}\n", self.ok()));
-        s.push_str("}\n");
-        s
+    /// Render as the `BENCH_replay.json` document. `smoke` labels a run
+    /// that was not held to the full run's 100K-frame minimum.
+    pub fn to_json(&self, smoke: bool) -> String {
+        Envelope {
+            bench: "replay",
+            smoke,
+            host_cores: self.host_cores,
+            peak_rss_bytes: self.peak_rss_bytes,
+            note: None,
+            fields: vec![
+                ("pipes", self.pipes.into()),
+                ("mode", self.mode.label().into()),
+                ("frames", self.frames.into()),
+                ("parse_errors", self.parse_errors.into()),
+                ("conns", self.conns.into()),
+                ("vips", self.vips.into()),
+                ("bytes_in", self.bytes_in.into()),
+                ("bytes_out", self.bytes_out.into()),
+                ("rewritten", self.rewritten.into()),
+                ("skipped", self.skipped.into()),
+                ("checksum_failures", self.checksum_failures.into()),
+                ("pcc_violations", self.pcc_violations.into()),
+                ("update_at", self.update_at.into()),
+                ("elapsed_ns", self.elapsed_ns.into()),
+                ("pps", Value::Float(self.pps, 0)),
+                ("decision_digest", Value::hex(self.decision_digest)),
+                ("rewrite_digest", Value::hex(self.rewrite_digest)),
+                ("conn_table_hits", self.conn_table_hits.into()),
+                ("vip_table_misses", self.vip_table_misses.into()),
+                ("syn_redirects", self.syn_redirects.into()),
+                ("ok", self.ok().into()),
+            ],
+            points: None,
+        }
+        .render()
     }
 }
 
@@ -229,7 +217,7 @@ fn build_switch(cap: &Capture<'_>, pipes: usize) -> Result<MultiPipeSwitch, Stri
     let cfg = SilkRoadConfig {
         conn_capacity: (cap.conns as usize * 2).max(4_096),
         // Wide digests keep the replay's decision stream free of
-        // collision noise, as in the saturation sweep.
+        // collision noise, as in the wall sweep.
         digest_bits: 24,
         transit_bytes: 4_096,
         ..Default::default()
@@ -406,7 +394,7 @@ pub fn replay(bytes: &[u8], pipes: usize, mode: RewriteMode) -> Result<ReplayRep
         vip_table_misses: stats.vip_table_misses,
         syn_redirects: stats.syn_repairs + stats.transit_syn_redirects,
         host_cores: sr_exec::available_cores(),
-        peak_rss_bytes: crate::rss::peak_rss_bytes(),
+        peak_rss_bytes: peak_rss_bytes(),
     })
 }
 
@@ -460,7 +448,7 @@ mod tests {
     fn smoke_replay_is_clean_and_deterministic() {
         let pcap = smoke_pcap();
         let a = replay(&pcap, 2, RewriteMode::Nat).unwrap();
-        assert!(a.ok(), "{}", a.to_json());
+        assert!(a.ok(), "{a:?}");
         assert_eq!(a.parse_errors, 0);
         assert!(a.frames > 500, "frames {}", a.frames);
         assert_eq!(a.rewritten + a.skipped, a.frames);
@@ -485,7 +473,7 @@ mod tests {
         let pcap = smoke_pcap();
         let nat = replay(&pcap, 2, RewriteMode::Nat).unwrap();
         let enc = replay(&pcap, 2, RewriteMode::Encap).unwrap();
-        assert!(enc.ok(), "{}", enc.to_json());
+        assert!(enc.ok(), "{enc:?}");
         assert_eq!(nat.rewritten, enc.rewritten);
         assert_eq!(
             enc.bytes_out,
@@ -500,14 +488,12 @@ mod tests {
     fn report_json_shape() {
         let pcap = smoke_pcap();
         let r = replay(&pcap, 1, RewriteMode::Nat).unwrap();
-        let json = r.to_json();
+        let json = r.to_json(true);
         for key in [
             "\"bench\": \"replay\"",
             "\"decision_digest\"",
             "\"rewrite_digest\"",
             "\"pcc_violations\": 0",
-            "\"host_cores\"",
-            "\"peak_rss_bytes\"",
             "\"ok\": true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

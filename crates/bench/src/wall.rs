@@ -1,8 +1,7 @@
 //! `repro wall` — sustained wall-clock throughput of the
 //! run-to-completion engine (`BENCH_wall.json`).
 //!
-//! Where `repro scale` *models* chip scaling (serial steering plus each
-//! pipe's drain timed in isolation), this harness *measures* it: the
+//! This harness measures chip scaling on real threads: the
 //! threaded [`MultiPipeSwitch`] backend runs one resident worker per
 //! pipe (core-pinned where the OS allows), the steer thread streams
 //! batches through [`MultiPipeSwitch::stream_batch`] without waiting for
@@ -21,6 +20,7 @@
 //! has ≥4 cores (a 1-core CI box can only verify digests and that the
 //! engine sustains traffic).
 
+use crate::envelope::{peak_rss_bytes, Envelope, Value};
 use silkroad::{EngineOptions, MultiPipeSwitch, SilkRoadConfig};
 use sr_types::{Addr, Dip, FiveTuple, Nanos, PacketMeta, Vip};
 
@@ -42,6 +42,8 @@ pub struct WallPoint {
 /// A full wall sweep.
 #[derive(Clone, Debug)]
 pub struct WallSweep {
+    /// Whether this was the CI-sized smoke profile.
+    pub smoke: bool,
     /// Flows in the trace.
     pub flows: u32,
     /// Steady-state passes over the trace per timed window.
@@ -71,40 +73,43 @@ impl WallSweep {
 
     /// Render as the `BENCH_wall.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"wall\",\n");
-        s.push_str(&format!("  \"flows\": {},\n", self.flows));
-        s.push_str(&format!("  \"passes\": {},\n", self.passes));
-        s.push_str(&format!("  \"batch\": {},\n", self.batch));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!("  \"pinned\": {},\n", self.pinned));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::rss::rss_json(self.peak_rss_bytes)
-        ));
-        s.push_str(&format!("  \"digests_match\": {},\n", self.digests_match));
-        s.push_str(
-            "  \"note\": \"measured wall-clock rate of the run-to-completion engine: resident \
-             per-pipe workers fed by SPSC rings, decisions folded into a commutative digest; \
-             the >=2.5x 4-pipe target applies on hosts with >=4 cores\",\n",
-        );
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"pipes\": {}, \"packets\": {}, \"elapsed_ns\": {}, \
-                 \"wall_pps\": {:.0}, \"wall_speedup\": {:.3}, \"digest\": \"{:016x}\"}}{}\n",
-                p.pipes,
-                p.packets,
-                p.elapsed_ns,
-                p.wall_pps,
-                self.wall_speedup(p.pipes).unwrap_or(1.0),
-                p.digest,
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
+        Envelope {
+            bench: "wall",
+            smoke: self.smoke,
+            host_cores: self.host_cores,
+            peak_rss_bytes: self.peak_rss_bytes,
+            note: Some(
+                "measured wall-clock rate of the run-to-completion engine: resident per-pipe \
+                 workers fed by SPSC rings, decisions folded into a commutative digest; the \
+                 >=2.5x 4-pipe target applies on hosts with >=4 cores",
+            ),
+            fields: vec![
+                ("flows", self.flows.into()),
+                ("passes", self.passes.into()),
+                ("batch", self.batch.into()),
+                ("pinned", self.pinned.into()),
+                ("digests_match", self.digests_match.into()),
+            ],
+            points: Some(
+                self.points
+                    .iter()
+                    .map(|p| {
+                        Value::Object(vec![
+                            ("pipes", p.pipes.into()),
+                            ("packets", p.packets.into()),
+                            ("elapsed_ns", p.elapsed_ns.into()),
+                            ("wall_pps", Value::Float(p.wall_pps, 0)),
+                            (
+                                "wall_speedup",
+                                Value::Float(self.wall_speedup(p.pipes).unwrap_or(1.0), 3),
+                            ),
+                            ("digest", Value::hex(p.digest)),
+                        ])
+                    })
+                    .collect(),
+            ),
         }
-        s.push_str("  ]\n}\n");
-        s
+        .render()
     }
 }
 
@@ -116,8 +121,7 @@ fn trace_cfg(flows: u32) -> SilkRoadConfig {
     SilkRoadConfig {
         conn_capacity: (flows as usize) * 2,
         // Wide digests, big transit bloom: keep the decision stream free
-        // of collision noise so the digest-identity gate is sharp (same
-        // geometry as the saturation sweep).
+        // of collision noise so the digest-identity gate is sharp.
         digest_bits: 24,
         transit_bytes: 4_096,
         ..Default::default()
@@ -125,8 +129,13 @@ fn trace_cfg(flows: u32) -> SilkRoadConfig {
 }
 
 /// Build a threaded engine with `flows` established v4 connections and
-/// return the steady-state data trace. SYNs are paced in
-/// sub-filter-capacity waves (see `saturation::established` for why).
+/// return the steady-state data trace.
+///
+/// SYNs are paced in sub-filter-capacity waves with an advance between
+/// each: the learning filter holds 2K events, and a single monolithic
+/// burst overflows it differently than four half-empty shard filters
+/// would, which would make the installed flow sets — and therefore the
+/// steady-state decisions and their digest — depend on the pipe count.
 fn established(flows: u32, pipes: usize) -> (MultiPipeSwitch, Vec<PacketMeta>) {
     let mut sw = MultiPipeSwitch::with_options(
         trace_cfg(flows),
@@ -174,8 +183,11 @@ fn measure(flows: u32, passes: u32, batch: usize, pipes: usize) -> WallPoint {
     let (mut sw, data) = established(flows, pipes);
     let now = Nanos::from_secs(20);
 
-    // Warm pass: batch buffers reach steady-state capacity, rings and
-    // caches settle; its fold is discarded by the drain.
+    // Untimed warm pass: batch buffers reach steady-state capacity, rings
+    // and caches settle; its fold is discarded by the drain. Without it
+    // the first pipe count measured in the process absorbs cold caches
+    // and page faults, which deflates the 1-pipe base and inflates every
+    // speedup.
     for chunk in data.chunks(batch) {
         sw.stream_batch(chunk, now);
     }
@@ -207,8 +219,15 @@ fn pin_probe() -> bool {
         .unwrap_or(false)
 }
 
-/// Run the wall sweep over each pipe count.
-pub fn sweep(flows: u32, passes: u32, batch: usize, pipe_counts: &[usize]) -> WallSweep {
+/// Run the wall sweep over each pipe count. `smoke` only labels the
+/// document: the caller sizes the trace.
+pub fn sweep(
+    smoke: bool,
+    flows: u32,
+    passes: u32,
+    batch: usize,
+    pipe_counts: &[usize],
+) -> WallSweep {
     let mut points = Vec::with_capacity(pipe_counts.len());
     for &pipes in pipe_counts {
         points.push(measure(flows, passes, batch, pipes));
@@ -217,12 +236,13 @@ pub fn sweep(flows: u32, passes: u32, batch: usize, pipe_counts: &[usize]) -> Wa
         .windows(2)
         .all(|w| w[0].digest == w[1].digest && w[0].packets == w[1].packets);
     WallSweep {
+        smoke,
         flows,
         passes,
         batch,
         host_cores: sr_exec::available_cores(),
         pinned: pin_probe(),
-        peak_rss_bytes: crate::rss::peak_rss_bytes(),
+        peak_rss_bytes: peak_rss_bytes(),
         digests_match,
         points,
     }
@@ -234,7 +254,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_sustains_traffic_and_digests_agree() {
-        let s = sweep(2_048, 2, 256, &[1, 2]);
+        let s = sweep(true, 2_048, 2, 256, &[1, 2]);
         assert_eq!(s.points.len(), 2);
         assert!(
             s.digests_match,
@@ -247,8 +267,6 @@ mod tests {
         assert!(s.host_cores >= 1);
         let json = s.to_json();
         assert!(json.contains("\"bench\": \"wall\""));
-        assert!(json.contains("\"host_cores\""));
-        assert!(json.contains("\"peak_rss_bytes\""));
         assert!(json.contains("\"wall_speedup\""));
         assert!(json.contains("\"digests_match\": true"));
     }

@@ -67,7 +67,6 @@ fn missing_count_value_is_a_usage_error() {
 fn unknown_flags_are_rejected_not_ignored() {
     for args in [
         &["table1", "--job", "4"][..],
-        &["scale", "--smok"][..],
         &["wall", "--pin"][..],
         &["fleet", "--smok"][..],
         &["fleet", "--workers", "4"][..],
@@ -203,13 +202,21 @@ fn unknown_targets_are_rejected() {
     assert!(stderr(&out).contains("unknown target"));
 }
 
+/// The modeled multi-pipe bench is gone; `repro wall` measures scaling.
+#[test]
+fn retired_scale_target_is_unknown() {
+    let out = repro(&["scale"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("unknown target"));
+}
+
 #[test]
 fn help_lists_the_verification_targets() {
     let out = repro(&["help"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     for target in [
-        "check", "scale", "wall", "fleet", "churn", "compare", "export", "replay",
+        "check", "wall", "fleet", "churn", "compare", "export", "replay",
     ] {
         assert!(stdout.contains(target), "help omits '{target}'");
     }

@@ -121,7 +121,7 @@ fn pcap_replay_matches_in_memory_switch_bit_for_bit() {
     let report = replay::replay(&pcap, 2, RewriteMode::Nat).unwrap();
     assert_eq!(report.frames as usize, metas.len());
     assert_eq!(report.parse_errors, 0);
-    assert!(report.ok(), "{}", report.to_json());
+    assert!(report.ok(), "{report:?}");
 
     let decisions = in_memory_decisions(&metas, 2);
     assert_eq!(decisions.len(), metas.len());

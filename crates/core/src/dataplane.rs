@@ -1,159 +1,17 @@
-//! Data-plane result types and the hash-once key pipeline.
+//! Data-plane result types.
 //!
 //! The per-packet pipeline itself lives in [`crate::switch`] (it needs
-//! mutable access to every table); this module defines what it returns,
-//! plus the [`KeyHasher`]/[`HashedKey`] pair that lets the switch hash a
-//! packet's 5-tuple key exactly once and derive every table's hash values
-//! from that single pass.
+//! mutable access to every table); this module defines what it returns.
+//! The hash-once key pipeline it consumes ([`KeyHasher`]/[`HashedKey`]:
+//! hash a packet's 5-tuple key exactly once and derive every table's hash
+//! values from that single pass) is defined at the algorithm boundary
+//! (`sr-algo`), shared by every zoo member, and re-exported here.
 
-use sr_hash::{hash_all, HashFn};
-use sr_types::{Dip, FiveTuple, PoolVersion, RewriteMode, RewriteOp, TupleKey};
+use sr_types::{Dip, PoolVersion, RewriteMode, RewriteOp};
 
-// The packet-time hash bundle and its lane bound are defined at the
-// algorithm boundary (`sr-algo`), shared by every zoo member; SilkRoad's
-// learn→install pipeline carries the same type.
-pub use sr_algo::{ConnHashes, MAX_PACKET_HASHES};
-
-/// Upper bound on the TransitTable bloom ways hashed lazily on the miss
-/// path (the paper uses 4).
-pub const MAX_BLOOM_HASHES: usize = 8;
-
-/// The switch's per-packet hash-function list, split by when each value is
-/// needed. The eager list — ConnTable stage bucket hashes, the ConnTable
-/// match-field (digest) hash, the ECMP select hash — is everything a
-/// steady-state ConnTable hit consumes; [`KeyHasher::hash_tuple`] evaluates
-/// it in one multi-accumulator pass per packet ([`sr_hash::hash_all`]).
-/// The TransitTable bloom hashes are only read on the VIPTable miss path,
-/// so [`KeyHasher::bloom_hashes`] computes them on demand there and hit
-/// packets never pay for them.
-///
-/// Both passes are bit-identical to calling each `HashFn` separately — so
-/// every experiment number is unchanged by the hash-once path.
-pub struct KeyHasher {
-    fns: Vec<HashFn>,
-    bloom_fns: Vec<HashFn>,
-    conn_stages: usize,
-}
-
-impl KeyHasher {
-    /// Assemble the layout. Panics if either function count exceeds its
-    /// bound ([`MAX_PACKET_HASHES`] / [`MAX_BLOOM_HASHES`] — far beyond any
-    /// paper configuration).
-    pub fn new(
-        conn_stage_fns: &[HashFn],
-        conn_match_fn: HashFn,
-        select_fn: HashFn,
-        bloom_fns: &[HashFn],
-    ) -> KeyHasher {
-        let mut fns = Vec::with_capacity(conn_stage_fns.len() + 2);
-        fns.extend_from_slice(conn_stage_fns);
-        fns.push(conn_match_fn);
-        fns.push(select_fn);
-        assert!(
-            fns.len() <= MAX_PACKET_HASHES,
-            "packet path needs {} eager hash functions; MAX_PACKET_HASHES is {}",
-            fns.len(),
-            MAX_PACKET_HASHES
-        );
-        assert!(
-            bloom_fns.len() <= MAX_BLOOM_HASHES,
-            "miss path needs {} bloom hash functions; MAX_BLOOM_HASHES is {}",
-            bloom_fns.len(),
-            MAX_BLOOM_HASHES
-        );
-        KeyHasher {
-            fns,
-            bloom_fns: bloom_fns.to_vec(),
-            conn_stages: conn_stage_fns.len(),
-        }
-    }
-
-    /// Encode the tuple's inline key and evaluate every eager hash function
-    /// over it in one pass. No heap allocation.
-    pub fn hash_tuple(&self, tuple: &FiveTuple) -> HashedKey {
-        let key = tuple.tuple_key();
-        let mut vals = [0u64; MAX_PACKET_HASHES];
-        hash_all(&self.fns, key.as_slice(), &mut vals[..self.fns.len()]);
-        HashedKey {
-            key,
-            vals,
-            conn_stages: self.conn_stages as u8,
-        }
-    }
-
-    /// Evaluate the TransitTable bloom hashes over an already-encoded key —
-    /// the miss path's lazy second pass. Bit-identical to running each
-    /// bloom `HashFn` standalone; no heap allocation.
-    pub fn bloom_hashes(&self, key: &TupleKey) -> BloomHashes {
-        let mut vals = [0u64; MAX_BLOOM_HASHES];
-        hash_all(
-            &self.bloom_fns,
-            key.as_slice(),
-            &mut vals[..self.bloom_fns.len()],
-        );
-        BloomHashes {
-            vals,
-            n: self.bloom_fns.len() as u8,
-        }
-    }
-}
-
-/// One packet key plus the precomputed outputs of the eager
-/// [`KeyHasher`] layout over it.
-#[derive(Clone, Copy)]
-pub struct HashedKey {
-    key: TupleKey,
-    vals: [u64; MAX_PACKET_HASHES],
-    conn_stages: u8,
-}
-
-impl HashedKey {
-    /// The inline key bytes.
-    pub fn key(&self) -> &TupleKey {
-        &self.key
-    }
-
-    /// Per-stage ConnTable bucket hashes.
-    pub fn conn_stage_hashes(&self) -> &[u64] {
-        &self.vals[..usize::from(self.conn_stages)]
-    }
-
-    /// The ConnTable match-field (digest) hash.
-    pub fn conn_match_hash(&self) -> u64 {
-        self.vals[usize::from(self.conn_stages)]
-    }
-
-    /// The ECMP/DIP-select hash.
-    pub fn select_hash(&self) -> u64 {
-        self.vals[usize::from(self.conn_stages) + 1]
-    }
-
-    /// Snapshot the ConnTable-relevant hashes (stage buckets + match/digest
-    /// hash) for the learn→install pipeline: the learn event carries this
-    /// so the eventual cuckoo insert reuses the packet-time hash pass
-    /// instead of re-hashing the key on the switch CPU.
-    pub fn conn_hashes(&self) -> ConnHashes {
-        let mut stage_hashes = [0u64; MAX_PACKET_HASHES];
-        let stages = usize::from(self.conn_stages);
-        stage_hashes[..stages].copy_from_slice(&self.vals[..stages]);
-        ConnHashes::from_parts(stage_hashes, self.conn_stages, self.conn_match_hash())
-    }
-}
-
-/// The miss path's lazily computed TransitTable bloom hashes
-/// ([`KeyHasher::bloom_hashes`]).
-#[derive(Clone, Copy)]
-pub struct BloomHashes {
-    vals: [u64; MAX_BLOOM_HASHES],
-    n: u8,
-}
-
-impl BloomHashes {
-    /// One output per configured bloom way.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.vals[..usize::from(self.n)]
-    }
-}
+pub use sr_algo::{
+    BloomHashes, ConnHashes, HashedKey, KeyHasher, MAX_BLOOM_HASHES, MAX_PACKET_HASHES,
+};
 
 /// Which path a packet took through the switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

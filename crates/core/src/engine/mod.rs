@@ -154,13 +154,10 @@ impl Pipe {
         &self.switch
     }
 
-    /// Mutable access to the shard's switch — for drivers that have
-    /// already steered their traffic (e.g. the saturation benchmark times
-    /// each pipe's drain in isolation) or per-pipe fault injection.
-    /// Feeding packets whose flows steer to a *different* pipe breaks
-    /// flow-to-pipe affinity; normal traffic should go through
-    /// [`MultiPipeSwitch::process_batch_into`].
-    pub fn switch_mut(&mut self) -> &mut SilkRoadSwitch {
+    /// Mutable access to the shard's switch, for the pipe's own driver
+    /// (the inline backend or its worker). Feeding packets whose flows
+    /// steer to a *different* pipe breaks flow-to-pipe affinity.
+    pub(crate) fn switch_mut(&mut self) -> &mut SilkRoadSwitch {
         &mut self.switch
     }
 }
@@ -507,20 +504,6 @@ impl MultiPipeSwitch {
             Backend::Inline(st) => st.pipes.get(id),
             Backend::Threaded(_) => None,
         }
-    }
-
-    /// One pipe, mutably (see [`Pipe::switch_mut`] for the contract).
-    /// `None` on the threaded backend.
-    pub fn pipe_mut(&mut self, id: usize) -> Option<&mut Pipe> {
-        match &mut self.backend {
-            Backend::Inline(st) => st.pipes.get_mut(id),
-            Backend::Threaded(_) => None,
-        }
-    }
-
-    /// The steering map.
-    pub fn steering(&self) -> &FlowSteering {
-        &self.steering
     }
 
     // ---- data plane ----------------------------------------------------
@@ -1330,13 +1313,11 @@ mod tests {
 
     #[test]
     fn pipe_access_is_inline_only() {
-        let mut inline = engine(2);
+        let inline = engine(2);
         assert!(inline.pipe(0).is_some());
-        assert!(inline.pipe_mut(1).is_some());
         assert!(!inline.is_threaded());
-        let mut thr = threaded(2);
+        let thr = threaded(2);
         assert!(thr.is_threaded());
         assert!(thr.pipe(0).is_none());
-        assert!(thr.pipe_mut(0).is_none());
     }
 }

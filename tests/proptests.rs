@@ -339,7 +339,8 @@ proptest! {
     /// Every hash the packet path derives from one `KeyHasher` pass is
     /// bit-identical to running the corresponding standalone `HashFn` over
     /// the key bytes — the invariant that keeps all experiment outputs
-    /// byte-for-byte stable across the hash-once refactor.
+    /// byte-for-byte stable across the hash-once refactor — for both the
+    /// switch's layout and the zoo's.
     #[test]
     fn hashed_key_matches_standalone_hashes(t in any_tuple(), seed in any::<u64>()) {
         use silkroad::conn_table::ConnTable;
@@ -374,6 +375,20 @@ proptest! {
         let bloom = hasher.bloom_hashes(hashed.key());
         for (i, f) in transit.hash_fns().iter().enumerate() {
             prop_assert_eq!(bloom.as_slice()[i], f.hash(&key));
+        }
+
+        // The zoo's layout (`AlgoEngine`): one hash family split as
+        // stages / match / select, no bloom ways (CuCoTrack 2, SilkRoad 4).
+        for stages in [2, 4] {
+            let fns = HashFn::family(seed, stages + 2);
+            let hashed = KeyHasher::family(seed, stages).hash_tuple(&t);
+            let conn = hashed.conn_hashes();
+            prop_assert_eq!(conn.stages(), stages);
+            for (i, f) in fns[..stages].iter().enumerate() {
+                prop_assert_eq!(conn.stage_hashes()[i], f.hash(&key));
+            }
+            prop_assert_eq!(conn.match_hash(), fns[stages].hash(&key));
+            prop_assert_eq!(hashed.select_hash(), fns[stages + 1].hash(&key));
         }
     }
 }

@@ -49,13 +49,9 @@ for p4 in p4/*.p4; do
     ./target/release/repro check --p4 "$p4" > /dev/null
 done
 
-# Run in a scratch dir so the smoke JSON does not clobber the committed
-# full-run BENCH_throughput.json.
-echo "== repro scale --smoke (multi-pipe saturation + decision identity)"
-SCALE_TMP="$(mktemp -d)"
-( cd "$SCALE_TMP" && "$OLDPWD/target/release/repro" scale --smoke > /dev/null )
-rm -rf "$SCALE_TMP"
-
+# Each bench smoke runs in a scratch dir so its JSON does not clobber
+# the committed full-run BENCH_*.json.
+#
 # Wall smoke: the run-to-completion engine streams real traffic through
 # resident per-pipe workers. Hard gate: decision digests bit-identical
 # across pipe counts at full speed. The wall-clock scaling gate inside
